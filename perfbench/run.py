@@ -71,6 +71,7 @@ EXACT = (
     "shell.max_in_flight", "shell.retries", "analysis.ast_walks",
     "analysis.graph_builds", "makespan_over_bound", "goodput_per_s",
     "admitted_p99_ms", "overload.generator_late_s",
+    "process.retained_objects_per_round",
 )
 #: what each workload calls the shared end-to-end metrics
 ALIASES = {
