@@ -2,17 +2,20 @@
 
 The analyzer's cost story has two regimes: a cold run pays for parsing,
 graph construction, and every interprocedural fixpoint; a warm run over
-an unchanged tree proves all per-file digests valid and reassembles the
-report from ``.analysis-cache/`` without running a single checker.  This
+an unchanged tree hashes the files into the whole-tree key and returns
+the stored report from ``.analysis-cache/`` without parsing a file.  This
 benchmark measures both over the real ``src/repro`` tree, checks the
 reports are byte-identical, and records cold µs/file, files/sec, and the
 warm speedup in ``BENCH_analysis.json`` so cache regressions are
-diffable across PRs (see ``benchmarks/ratchet_analysis.py``).
+diffable across PRs (see ``benchmarks/ratchet_analysis.py``).  A warm run
+takes tens of milliseconds, so its time is the median of
+``WARM_RUNS`` runs.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -30,6 +33,9 @@ TREE = REPO_ROOT / "src" / "repro"
 #: the cache's reason to exist: a warm full-tree pass must beat cold by
 #: at least this factor
 MIN_WARM_SPEEDUP = 3.0
+
+#: warm runs timed; the median is recorded
+WARM_RUNS = 7
 
 
 def _timed_run(cache_dir: Path, **kwargs):
@@ -52,11 +58,13 @@ def test_analysis_speed_cold_vs_warm(tmp_path):
 
     cold_result, cold_stats, cold_s = _timed_run(cache_dir)
     assert cold_stats.misses == cold_result.files_scanned
-    assert cold_stats.wrote
 
-    warm_result, warm_stats, warm_s = _timed_run(cache_dir)
-    assert warm_stats.fast_path
-    assert warm_stats.hits == warm_result.files_scanned
+    warm_times = []
+    for _ in range(WARM_RUNS):
+        warm_result, warm_stats, warm_s = _timed_run(cache_dir)
+        assert warm_stats.hits == warm_result.files_scanned
+        warm_times.append(warm_s)
+    warm_s = statistics.median(warm_times)
 
     # the cache must never change what the analyzer reports
     assert _rendered(warm_result) == _rendered(cold_result)

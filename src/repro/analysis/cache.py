@@ -1,326 +1,119 @@
-"""Incremental analysis cache: content-hashed, import-graph invalidated.
+"""Analysis cache: one key over the whole analyzed tree.
 
-The cache answers one question per file: *can this file's findings from
-the previous run still be trusted?*  Three digests decide, strictest
-first:
+The key is a sha256 over everything a report can depend on:
 
-- **content hash** — the file's own bytes changed: invalid.
-- **deps digest** — the content hashes of the file's *transitive import
-  closure* (project modules only).  A body edit in anything the file
-  imports — helpers whose summaries feed taint/ownership flows, base
-  classes whose methods resolve into the call graph — lands here, so
-  dependents of a changed file invalidate automatically without a
-  reverse-dependency walk.
-- **global digest** — everything whole-program findings can depend on
-  *against* the import direction: the engine's own source, the active
-  code table and ``--select``/``--ignore`` sets, and each file's
-  *interface facts* (SOAP exposures, class shapes, header tokens,
-  cross-module call tokens with their guard flags).  A dispatcher in
-  module G reaching into module F makes F's REP901 findings depend on G
-  even though F never imports G; G changing its dispatch surface or call
-  set changes the global digest and invalidates everything.  Body edits
-  that keep the interface facts stable stay file-local.
+- the analysis engine's own source (every checker, the graph, the runner);
+- the ``--select``/``--ignore`` sets and the active code table;
+- every analyzed file's root-relative path and content.
 
-Over-invalidation is safe (the analysis re-runs); under-invalidation
-would serve stale findings, so every fact a finding can depend on is
-covered by one of the three digests.
+The value is the stored report: findings, suppressed findings, and the
+number of files scanned.  A hit reads and hashes the files but parses
+none of them.  Any change — a body edit, a new or deleted module, a
+different ``--select`` — misses and re-runs the whole analysis, then
+rewrites the cache.  There is no partial mode: whole-program findings
+can depend on any file, so a key over the whole tree is the one that is
+never stale.
 
 The cache lives in ``.analysis-cache/findings.json`` (one deterministic
-JSON document) and stores, per file, the digest key plus the finding and
-suppressed-finding dicts exactly as reported — a warm run reassembles the
-byte-identical report without running a single checker.
+JSON document).
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.core import Finding, SourceModule
+from repro.analysis.core import Finding
 
-CACHE_SCHEMA = "repro.analysis.cache/v1"
+CACHE_SCHEMA = "repro.analysis.cache/v2"
 CACHE_DIR = ".analysis-cache"
 CACHE_FILE = "findings.json"
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def content_hash(module: SourceModule) -> str:
-    return _sha(module.text)
-
-
-# -- interface facts -----------------------------------------------------------
-
-
-def interface_facts(module: SourceModule) -> str:
-    """A digest of everything in *module* that findings in OTHER files can
-    depend on against the import direction: the dispatch surface, class
-    shapes (bases + method arities), header tokens, and the dotted names
-    this module calls (with guard flags).  Sorted, so formatting-only
-    edits that keep the facts stable do not invalidate the world."""
-    if module.tree is None:
-        return _sha(module.text)
-    facts: set[str] = set()
-    from repro.analysis.astutil import dotted_name, find_exposures
-
-    for exposure in find_exposures(module.tree):
-        facts.add(
-            "expose:"
-            f"{exposure.class_name}:{','.join(sorted(exposure.methods))}"
-            f":{int(exposure.expose_all)}"
-        )
-    for node in module.tree.body:
-        if isinstance(node, ast.ClassDef):
-            bases = ",".join(sorted(filter(None, map(dotted_name, node.bases))))
-            methods = ",".join(
-                sorted(
-                    f"{item.name}/{len(item.args.args)}"
-                    for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                )
-            )
-            facts.add(f"class:{node.name}({bases}):{methods}")
-    guarded_lines = _guarded_call_lines(module.tree)
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name:
-                guard = int(node.lineno in guarded_lines)
-                facts.add(f"call:{name}:{guard}")
-        elif isinstance(node, ast.Name) and node.id.endswith("_HEADER"):
-            facts.add(f"header:{node.id}")
-        elif isinstance(node, ast.Attribute) and node.attr.endswith("_HEADER"):
-            facts.add(f"header:{node.attr}")
-    return _sha("\n".join(sorted(facts)))
-
-
-def _guarded_call_lines(tree: ast.Module) -> set[int]:
-    """Line numbers of calls under a ``try`` with handlers (the guard flag
-    is part of the fact: wrapping a call flips REP901 reachability)."""
-    guarded: set[int] = set()
-
-    def visit(stmts, in_guard: bool) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Try):
-                visit(stmt.body, in_guard or bool(stmt.handlers))
-                for handler in stmt.handlers:
-                    visit(handler.body, in_guard)
-                visit(stmt.orelse, in_guard)
-                visit(stmt.finalbody, in_guard)
-                continue
-            if in_guard:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Call):
-                        guarded.add(sub.lineno)
-            body = getattr(stmt, "body", None)
-            if isinstance(body, list):
-                visit([s for s in body if isinstance(s, ast.stmt)], in_guard)
-                for attr in ("orelse", "finalbody"):
-                    extra = getattr(stmt, attr, None)
-                    if isinstance(extra, list):
-                        visit(
-                            [s for s in extra if isinstance(s, ast.stmt)],
-                            in_guard,
-                        )
-
-    visit(tree.body, False)
-    return guarded
-
-
-# -- digests over the project --------------------------------------------------
-
-
 def engine_digest() -> str:
     """Content hash of the analysis engine's own source: any change to a
-    checker, the graph, or the runner invalidates every cached finding."""
+    checker, the graph, or the runner invalidates every cached report."""
     package = Path(__file__).resolve().parent
-    parts: list[str] = []
+    digest = hashlib.sha256()
     for path in sorted(package.rglob("*.py")):
-        parts.append(f"{path.relative_to(package).as_posix()}:{_sha(path.read_text(encoding='utf-8'))}")
-    return _sha("\n".join(parts))
+        digest.update(path.relative_to(package).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
-def global_digest(
-    modules: list[SourceModule],
+def tree_key(
+    sources: list[tuple[str, str]],
     *,
     select: set[str] | None,
     ignore: set[str] | None,
     codes: dict[str, str],
 ) -> str:
-    parts = [
-        f"engine:{engine_digest()}",
-        f"select:{','.join(sorted(select or ()))}",
-        f"ignore:{','.join(sorted(ignore or ()))}",
-        f"codes:{_sha(json.dumps(sorted(codes.items())))}",
+    """The cache key for (root-relative path, text) *sources* analyzed
+    with these options."""
+    digest = hashlib.sha256()
+    header = [
+        engine_digest(),
+        ",".join(sorted(select or ())),
+        ",".join(sorted(ignore or ())),
+        json.dumps(sorted(codes.items())),
     ]
-    for module in sorted(modules, key=lambda m: m.rel):
-        parts.append(f"facts:{module.rel}:{interface_facts(module)}")
-    return _sha("\n".join(parts))
-
-
-def deps_digests(modules: list[SourceModule], graph=None) -> dict[str, str]:
-    """rel path -> digest of the content hashes of the module's transitive
-    project import closure (the module itself excluded; its own content
-    hash is checked separately).  *graph* is an optional prebuilt
-    :class:`~repro.analysis.graph.modgraph.ModuleGraph` for the same
-    module set."""
-    from repro.analysis.core import Project
-
-    project = Project(modules=list(modules))
-    if graph is None:
-        graph = project.graph().modules
-    by_name = {
-        m.module_name: m
-        for m in project.parsed()
-        if graph.modules.get(m.module_name) == m.rel
-    }
-    hashes = {m.rel: content_hash(m) for m in modules}
-    out: dict[str, str] = {}
-    for module in modules:
-        closure = (
-            graph.import_closure([module.module_name])
-            if module.module_name in by_name
-            else []
-        )
-        parts = []
-        for dep in closure:
-            dep_module = by_name.get(dep)
-            if dep_module is not None and dep_module.rel != module.rel:
-                parts.append(f"{dep}:{hashes[dep_module.rel]}")
-        out[module.rel] = _sha("\n".join(sorted(parts)))
-    return out
-
-
-# -- the cache document --------------------------------------------------------
+    for part in header:
+        digest.update(part.encode("utf-8") + b"\0")
+    for rel, text in sorted(sources):
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update(text.encode("utf-8") + b"\0")
+    return digest.hexdigest()
 
 
 @dataclass
 class CacheStats:
-    """What the cache did for one run (reported via ``--stats``)."""
+    """What the cache did for one run (reported via ``--stats``): a hit
+    reuses the stored report for every file, a miss analyzes them all."""
 
     enabled: bool = False
     hits: int = 0
     misses: int = 0
-    fast_path: bool = False  # report assembled entirely from cache
-    wrote: bool = False
-    dirty: list[str] = field(default_factory=list)
 
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
+    def line(self) -> str:
+        if not self.enabled:
+            return "cache: disabled (--no-cache)"
+        if self.hits:
+            return f"cache: hit, stored report reused for {self.hits} file(s)"
+        return f"cache: miss, {self.misses} file(s) analyzed, cache rewritten"
 
-    def hit_rate(self) -> float:
-        return self.hits / self.total if self.total else 0.0
 
-    def lines(self) -> list[str]:
-        mode = "warm (fast path)" if self.fast_path else (
-            "cold" if self.hits == 0 else "partial"
+def read_report(path: Path, key: str) -> tuple[list[Finding], list[Finding]] | None:
+    """(findings, suppressed) stored under *key*, or ``None`` when the
+    file is absent, corrupt, or holds another key's report."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if payload["schema"] != CACHE_SCHEMA or payload["key"] != key:
+            return None
+        return (
+            [finding_from_dict(item) for item in payload["findings"]],
+            [finding_from_dict(item) for item in payload["suppressed"]],
         )
-        out = [
-            f"cache: {mode}, {self.hits}/{self.total} file(s) valid "
-            f"({self.hit_rate():.0%} hit rate)"
-        ]
-        if self.dirty and not self.fast_path:
-            shown = ", ".join(self.dirty[:8])
-            more = f" (+{len(self.dirty) - 8} more)" if len(self.dirty) > 8 else ""
-            out.append(f"cache: dirty: {shown}{more}")
-        if self.wrote:
-            out.append("cache: refreshed")
-        return out
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
-@dataclass
-class AnalysisCache:
-    path: Path
-    global_digest: str = ""
-    #: rel path -> {"key": "<content>:<deps>", "findings": [...], "suppressed": [...]}
-    files: dict[str, dict] = field(default_factory=dict)
-
-    @staticmethod
-    def load(path: Path) -> "AnalysisCache":
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return AnalysisCache(path=path)
-        if payload.get("schema") != CACHE_SCHEMA:
-            return AnalysisCache(path=path)
-        return AnalysisCache(
-            path=path,
-            global_digest=str(payload.get("global_digest", "")),
-            files=dict(payload.get("files", {})),
-        )
-
-    def save(self) -> None:
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "global_digest": self.global_digest,
-            "files": {rel: self.files[rel] for rel in sorted(self.files)},
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    # -- validity --------------------------------------------------------------
-
-    def split_valid(
-        self,
-        modules: list[SourceModule],
-        *,
-        global_digest: str,
-        deps: dict[str, str],
-    ) -> tuple[dict[str, dict], list[str]]:
-        """(valid entries by rel, dirty rel paths) for the module set.
-
-        With a stale global digest *everything* is dirty; otherwise a file
-        is valid when its content hash and deps digest both match."""
-        if global_digest != self.global_digest:
-            return {}, [m.rel for m in modules]
-        valid: dict[str, dict] = {}
-        dirty: list[str] = []
-        for module in modules:
-            entry = self.files.get(module.rel)
-            key = f"{content_hash(module)}:{deps[module.rel]}"
-            if entry is not None and entry.get("key") == key:
-                valid[module.rel] = entry
-            else:
-                dirty.append(module.rel)
-        return valid, dirty
-
-    # -- population ------------------------------------------------------------
-
-    def refresh(
-        self,
-        modules: list[SourceModule],
-        findings: list[Finding],
-        suppressed: list[Finding],
-        *,
-        global_digest: str,
-        deps: dict[str, str],
-    ) -> None:
-        """Replace the whole document with this full run's results."""
-        by_path: dict[str, dict] = {
-            m.rel: {
-                "key": f"{content_hash(m)}:{deps[m.rel]}",
-                "findings": [],
-                "suppressed": [],
-            }
-            for m in modules
-        }
-        for finding in findings:
-            if finding.path in by_path:
-                by_path[finding.path]["findings"].append(finding.to_dict())
-        for finding in suppressed:
-            if finding.path in by_path:
-                by_path[finding.path]["suppressed"].append(finding.to_dict())
-        self.global_digest = global_digest
-        self.files = by_path
+def write_report(
+    path: Path, key: str, findings: list[Finding], suppressed: list[Finding]
+) -> None:
+    payload = {
+        "schema": CACHE_SCHEMA,
+        "key": key,
+        "findings": [f.to_dict() for f in findings],
+        "suppressed": [f.to_dict() for f in suppressed],
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def finding_from_dict(payload: dict) -> Finding:

@@ -24,7 +24,6 @@ from typing import Iterable
 from repro.analysis.astutil import (
     base_names,
     dotted_name,
-    find_exposures,
     public_methods,
     signature_of,
 )
@@ -98,7 +97,7 @@ class ContractDriftChecker(Checker):
         roots = []
         index = project.class_index()
         for module in project.parsed():
-            for exposure in find_exposures(module.tree):
+            for exposure in module.exposures:
                 if exposure.class_name in index:
                     roots.append(exposure)
         return roots

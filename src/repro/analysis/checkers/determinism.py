@@ -13,7 +13,7 @@ import ast
 import re
 from typing import Iterable
 
-from repro.analysis.astutil import import_aliases, resolve_call_path
+from repro.analysis.astutil import resolve_call_path
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -79,7 +79,7 @@ class DeterminismChecker(Checker):
             yield from self._check_module(module)
 
     def _check_module(self, module: SourceModule) -> Iterable[Finding]:
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node, aliases)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.astutil import dotted_name, import_aliases
+from repro.analysis.astutil import dotted_name
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -57,10 +57,13 @@ def rep201_closure(project: Project) -> set[tuple[str, str, str]]:
     """(module, class, function) triples in the same-module dispatch
     closure REP201 covers.  REP901 reports exactly the complement, so
     both rules derive it from the same graph walk."""
-    calls = project.graph().calls
-    roots = calls.dispatch_roots(project)
+    graph = project.graph()
+    calls = graph.calls
     reach = reachable(
-        calls, roots, follow_guarded=True, edge_filter=_same_module_filter
+        calls,
+        graph.dispatch_roots,
+        follow_guarded=True,
+        edge_filter=_same_module_filter,
     )
     return {
         (calls.nodes[node_id].module, calls.nodes[node_id].cls,
@@ -126,15 +129,18 @@ class FaultTaxonomyChecker(Checker):
     def _check_reachable_raises(
         self, project: Project, portal_classes: set[str]
     ) -> Iterable[Finding]:
-        calls = project.graph().calls
+        graph = project.graph()
+        calls = graph.calls
         by_module = {
             m.module_name: m
             for m in project.parsed()
-            if project.graph().modules.modules.get(m.module_name) == m.rel
+            if graph.modules.modules.get(m.module_name) == m.rel
         }
-        roots = calls.dispatch_roots(project)
         reach = reachable(
-            calls, roots, follow_guarded=True, edge_filter=_same_module_filter
+            calls,
+            graph.dispatch_roots,
+            follow_guarded=True,
+            edge_filter=_same_module_filter,
         )
         for node_id in sorted(reach):
             node = calls.nodes[node_id]
@@ -155,7 +161,7 @@ class FaultTaxonomyChecker(Checker):
         portal errors even when the class is defined outside the run."""
         return {
             local
-            for local, origin in import_aliases(module.tree).items()
+            for local, origin in module.aliases.items()
             if origin.startswith(FAULT_MODULE + ".")
         }
 

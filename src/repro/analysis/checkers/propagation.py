@@ -122,8 +122,12 @@ class PropagationChecker(Checker):
             for m in project.parsed()
             if graph.modules.modules.get(m.module_name) == m.rel
         }
-        roots = calls.dispatch_roots(project)
-        full = reachable(calls, roots, follow_guarded=True, edge_filter=_full_filter)
+        full = reachable(
+            calls,
+            graph.dispatch_roots,
+            follow_guarded=True,
+            edge_filter=_full_filter,
+        )
         covered = rep201_closure(project)
         portal = self._portal_classes(graph)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.astutil import import_aliases, resolve_call_path
+from repro.analysis.astutil import resolve_call_path
 from repro.analysis.checkers.determinism import (
     DATETIME_CALLS,
     RANDOM_ALLOWED_ATTRS,
@@ -93,7 +93,7 @@ class SimtestOracleChecker(Checker):
     def _check_determinism(
         self, module: SourceModule, cls: ast.ClassDef
     ) -> Iterable[Finding]:
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         for node in ast.walk(cls):
             if not isinstance(node, ast.Call):
                 continue

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.astutil import import_aliases, resolve_call_path
+from repro.analysis.astutil import resolve_call_path
 from repro.analysis.checkers.determinism import RANDOM_ALLOWED_ATTRS
 from repro.analysis.core import (
     Checker,
@@ -67,7 +67,7 @@ class SloSamplingChecker(Checker):
     def _check_policy(
         self, module: SourceModule, cls: ast.ClassDef
     ) -> Iterable[Finding]:
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         for node in ast.walk(cls):
             if not isinstance(node, ast.Call):
                 continue
@@ -100,7 +100,7 @@ class SloSamplingChecker(Checker):
     # -- REP702: objectives declare their window and budget ---------------------------
 
     def _check_slo_calls(self, module: SourceModule) -> Iterable[Finding]:
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -81,26 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="bypass the incremental cache (neither read nor written)",
+        help="bypass the analysis cache (neither read nor written)",
     )
     parser.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="incremental cache directory (default: .analysis-cache)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "fast CI pre-step: re-analyze only files whose content or "
-            "import closure changed since the cached run, merging cached "
-            "findings for the rest (never writes the cache)"
-        ),
+        help="analysis cache directory (default: .analysis-cache)",
     )
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print cache hit/miss statistics to stderr",
+        help="print whether the cache hit or missed to stderr",
     )
     return parser
 
@@ -142,14 +133,9 @@ def main(argv: list[str] | None = None) -> int:
         ignore=_codes(args.ignore),
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         use_cache=not args.no_cache,
-        changed_only=args.changed_only,
     )
     if args.stats:
-        if cache_stats.enabled:
-            for line in cache_stats.lines():
-                print(line, file=sys.stderr)
-        else:
-            print("cache: disabled (--no-cache)", file=sys.stderr)
+        print(cache_stats.line(), file=sys.stderr)
 
     baseline: Baseline | None = None
     if not args.no_baseline:

@@ -13,8 +13,13 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from repro.analysis.astutil import Exposure, find_exposures, import_aliases
+from repro.analysis.graph import ProjectGraph
+from repro.analysis.graph.modgraph import module_import_origins
 
 #: framework-level codes (emitted by the runner, not by checkers)
 UNUSED_SUPPRESSION = "REP001"
@@ -72,21 +77,29 @@ class Finding:
         }
 
 
-#: matches the ``repro: ignore`` / ``repro: ignore[REP101, REP104]`` comment marker
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro:\s*ignore(?:\[(?P<codes>[A-Z0-9,\s]+)\])?"
-)
+#: a ``repro:`` waiver marker; the ``marker`` group runs from ``ignore`` to
+#: the end of the bracket (or of the word) so malformed spellings are caught
+_SUPPRESS_RE = re.compile(r"#\s*repro:\s*(?P<marker>ignore(?:\[[^\]]*\]?|\w*))")
+#: the well-formed markers: bare ``ignore`` or ``ignore[REP101, REP104]``
+_MARKER_RE = re.compile(r"ignore(?:\[(?P<codes>REP\d{3}(?:\s*,\s*REP\d{3})*)\])?")
+CODE_RE = re.compile(r"REP\d{3}")
 
 
 def parse_suppressions(text: str) -> dict[int, set[str]]:
     """Extract inline suppressions: {line -> set of codes} (empty set =
     blanket ``# repro: ignore`` suppressing every code on that line).
 
+    A malformed marker (``ignore[rep101]``, ``ignore[]``, ``ignored``)
+    maps to the set holding its own text: that names no code, so it
+    suppresses nothing and the runner reports it as unused (REP001).
+
     Only genuine ``#`` comments count — the marker appearing inside a
     string or docstring (as it does in this very module) is prose, not a
     suppression, so the scan tokenizes rather than greps.
     """
     out: dict[int, set[str]] = {}
+    if "repro:" not in text:
+        return out
     try:
         tokens = tokenize.generate_tokens(io.StringIO(text).readline)
         comments = [
@@ -100,11 +113,14 @@ def parse_suppressions(text: str) -> dict[int, set[str]]:
         match = _SUPPRESS_RE.search(comment)
         if match is None:
             continue
-        codes = match.group("codes")
-        if codes is None:
+        marker = match.group("marker")
+        wellformed = _MARKER_RE.fullmatch(marker)
+        if wellformed is None:
+            out[lineno] = {marker}
+        elif wellformed.group("codes") is None:
             out[lineno] = set()
         else:
-            out[lineno] = {c.strip() for c in codes.split(",") if c.strip()}
+            out[lineno] = set(CODE_RE.findall(wellformed.group("codes")))
     return out
 
 
@@ -134,6 +150,25 @@ class SourceModule:
             suppressions=parse_suppressions(text),
             module_name=_module_name(rel),
         )
+
+    # -- per-run AST facts: computed on first use, dropped with the module ----
+
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        """Local name -> dotted import origin (absolute imports only)."""
+        return import_aliases(self.tree) if self.tree is not None else {}
+
+    @cached_property
+    def import_origins(self) -> dict[str, str]:
+        """Local name -> dotted import origin, relative imports resolved."""
+        if self.tree is None:
+            return {}
+        return module_import_origins(self.tree, self.module_name)
+
+    @cached_property
+    def exposures(self) -> list[Exposure]:
+        """The module's SOAP exposures, one per receiver class."""
+        return find_exposures(self.tree) if self.tree is not None else []
 
     def finding(
         self,
@@ -177,15 +212,13 @@ class Project:
 
     modules: list[SourceModule]
     _class_index: dict[str, tuple[SourceModule, ast.ClassDef]] | None = None
-    _graph: object | None = None
+    _graph: ProjectGraph | None = None
 
     def graph(self):
         """The whole-program :class:`~repro.analysis.graph.ProjectGraph`
         (module graph, symbol table, call graph), built once per run and
         shared by every graph-aware checker."""
         if self._graph is None:
-            from repro.analysis.graph import ProjectGraph
-
             self._graph = ProjectGraph(self)
         return self._graph
 

@@ -10,8 +10,7 @@ structures a whole-program rule needs, all built from the same parsed
 importing the code under analysis):
 
 - :mod:`~repro.analysis.graph.modgraph` — the module/import graph
-  (which project module imports which), used both for resolution and
-  for incremental-cache invalidation;
+  (which project module imports which), used for name resolution;
 - :mod:`~repro.analysis.graph.symbols` — a project symbol table that
   resolves names through import aliases, re-exports, and module-level
   assignment aliases to their defining module;
@@ -24,8 +23,10 @@ importing the code under analysis):
 
 Everything iterates in sorted order: two runs over the same tree build
 byte-identical graphs, which is what keeps whole-program reports
-reproducible and cacheable.
+reproducible.
 """
+
+from functools import cached_property
 
 from repro.analysis.graph.callgraph import CallEdge, CallGraph, FunctionNode
 from repro.analysis.graph.dataflow import Dataflow, reachable
@@ -49,31 +50,29 @@ class ProjectGraph:
     """The lazily-built bundle of whole-program structures for one
     :class:`~repro.analysis.core.Project`.
 
-    Checkers reach it through ``project.graph()``; the three layers are
-    built once per analysis run and shared by every graph-aware checker,
-    so the cost of whole-program resolution is paid once, not per rule.
+    Checkers reach it through ``project.graph()``; each structure — and
+    the dispatch roots the reachability rules grow from — is built once
+    per analysis run and shared by every graph-aware checker, so the cost
+    of whole-program resolution is paid once, not per rule.
     """
 
     def __init__(self, project):
         self.project = project
-        self._modules: ModuleGraph | None = None
-        self._symbols: SymbolTable | None = None
-        self._calls: CallGraph | None = None
 
-    @property
+    @cached_property
     def modules(self) -> ModuleGraph:
-        if self._modules is None:
-            self._modules = ModuleGraph.build(self.project)
-        return self._modules
+        return ModuleGraph.build(self.project)
 
-    @property
+    @cached_property
     def symbols(self) -> SymbolTable:
-        if self._symbols is None:
-            self._symbols = SymbolTable.build(self.project, self.modules)
-        return self._symbols
+        return SymbolTable.build(self.project, self.modules)
 
-    @property
+    @cached_property
     def calls(self) -> CallGraph:
-        if self._calls is None:
-            self._calls = CallGraph.build(self.project, self.symbols)
-        return self._calls
+        return CallGraph.build(self.project, self.symbols)
+
+    @cached_property
+    def dispatch_roots(self) -> list[str]:
+        """Node ids of every SOAP-dispatchable method (see
+        :meth:`CallGraph.dispatch_roots`)."""
+        return self.calls.dispatch_roots(self.project)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.astutil import find_exposures
 from repro.analysis.graph.symbols import Symbol, SymbolTable, _dotted
 
 
@@ -294,13 +293,14 @@ class CallGraph:
 
     def dispatch_roots(self, project) -> list[str]:
         """Node ids of every SOAP-dispatchable method in the project: the
-        roots the REP2xx/REP9xx reachability passes grow from."""
+        roots the REP2xx/REP9xx reachability passes grow from.  Checkers
+        read the per-run copy, ``project.graph().dispatch_roots``."""
         roots: set[str] = set()
         for module in project.parsed():
             mod = module.module_name
             if not mod:
                 continue
-            for exposure in find_exposures(module.tree):
+            for exposure in module.exposures:
                 symbol = self.symbols.resolve(mod, exposure.class_name)
                 if symbol is None or symbol.kind != "class":
                     continue

@@ -1,10 +1,8 @@
 """The module/import graph: which project module imports which.
 
-Two consumers: name resolution (the symbol table needs to know whether
+Its consumer is name resolution: the symbol table needs to know whether
 ``repro.a.b`` in an import origin is a module or a symbol inside
-``repro.a``), and incremental caching (a file's findings can only change
-when its own content, something in its transitive import closure, or a
-project-wide interface fact changes — see :mod:`repro.analysis.cache`).
+``repro.a``.
 
 Relative imports are resolved against the analyzed module's dotted name
 (``from .helpers import x`` inside ``fixtures.demo.svc`` targets
@@ -23,7 +21,10 @@ def module_import_origins(tree: ast.Module, module_name: str) -> dict[str, str]:
 
     Like :func:`repro.analysis.astutil.import_aliases` but aware of the
     importing module's own dotted name, so ``from . import x`` and
-    ``from ..pkg import y`` resolve to absolute project paths.
+    ``from ..pkg import y`` resolve to absolute project paths.  Read it
+    through :attr:`SourceModule.import_origins
+    <repro.analysis.core.SourceModule.import_origins>`, which computes it
+    once per module per run.
     """
     package = module_name.rsplit(".", 1)[0] if "." in module_name else ""
     aliases: dict[str, str] = {}
@@ -53,14 +54,12 @@ def module_import_origins(tree: ast.Module, module_name: str) -> dict[str, str]:
 
 @dataclass
 class ModuleGraph:
-    """Project-internal import edges, with closure queries both ways."""
+    """Project-internal import edges."""
 
     #: dotted module name -> repo-relative path of the defining file
     modules: dict[str, str] = field(default_factory=dict)
     #: module -> sorted project modules it imports (directly)
     imports: dict[str, list[str]] = field(default_factory=dict)
-    #: module -> sorted project modules importing it (directly)
-    dependents: dict[str, list[str]] = field(default_factory=dict)
 
     @staticmethod
     def build(project) -> "ModuleGraph":
@@ -73,7 +72,7 @@ class ModuleGraph:
             name = module.module_name
             if name not in edges:
                 continue
-            for origin in module_import_origins(module.tree, name).values():
+            for origin in module.import_origins.values():
                 target = graph.resolve_module(origin)
                 if target is not None and target != name:
                     edges[name].add(target)
@@ -87,11 +86,6 @@ class ModuleGraph:
                     if target is not None and target != name:
                         edges[name].add(target)
         graph.imports = {name: sorted(edges[name]) for name in sorted(edges)}
-        reverse: dict[str, set[str]] = {name: set() for name in graph.modules}
-        for name, targets in graph.imports.items():
-            for target in targets:
-                reverse[target].add(name)
-        graph.dependents = {name: sorted(reverse[name]) for name in sorted(reverse)}
         return graph
 
     def resolve_module(self, origin: str) -> str | None:
@@ -106,24 +100,3 @@ class ModuleGraph:
                 return None
             candidate = candidate.rsplit(".", 1)[0]
         return None
-
-    def _closure(self, roots: list[str], edges: dict[str, list[str]]) -> list[str]:
-        seen: set[str] = set()
-        queue = sorted(set(roots) & set(self.modules))
-        while queue:
-            current = queue.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            for nxt in edges.get(current, []):
-                if nxt not in seen:
-                    queue.append(nxt)
-        return sorted(seen)
-
-    def import_closure(self, roots: list[str]) -> list[str]:
-        """*roots* plus everything they transitively import (sorted)."""
-        return self._closure(roots, self.imports)
-
-    def dependent_closure(self, roots: list[str]) -> list[str]:
-        """*roots* plus everything transitively importing them (sorted)."""
-        return self._closure(roots, self.dependents)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.graph.modgraph import ModuleGraph, module_import_origins
+from repro.analysis.graph.modgraph import ModuleGraph
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class SymbolTable:
             name = module.module_name
             if not name or graph.modules.get(name) != module.rel:
                 continue  # duplicate module name: first definition won
-            table.imports[name] = module_import_origins(module.tree, name)
+            table.imports[name] = module.import_origins
             for node in module.tree.body:
                 if isinstance(node, ast.ClassDef):
                     table.classes.setdefault((name, node.name), node)

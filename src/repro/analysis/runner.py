@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.core import (
+    CODE_RE,
     FRAMEWORK_CODES,
     PARSE_ERROR,
     UNUSED_SUPPRESSION,
@@ -142,10 +143,15 @@ def _unused_suppressions(
             if (module.rel, line) in used:
                 continue
             label = ",".join(sorted(codes)) if codes else "*"
+            message = (
+                f"suppression 'repro: ignore[{label}]' matches no finding"
+                if all(CODE_RE.fullmatch(code) for code in codes)
+                else f"malformed suppression 'repro: {label}' suppresses nothing"
+            )
             out.append(
                 module.finding(
                     UNUSED_SUPPRESSION,
-                    f"suppression 'repro: ignore[{label}]' matches no finding",
+                    message,
                     line=line,
                     checker="framework",
                     severity=Severity.WARNING,
@@ -154,14 +160,20 @@ def _unused_suppressions(
     return out
 
 
+def read_sources(paths: list[Path], *, root: Path) -> list[tuple[Path, str, str]]:
+    """(absolute path, root-relative path, text) of every file under *paths*."""
+    return [
+        (file, _relpath(file, root), file.read_text(encoding="utf-8"))
+        for file in collect_files([p.resolve() for p in paths])
+    ]
+
+
 def load_modules(paths: list[Path], *, root: Path | None = None) -> list[SourceModule]:
     root = (root or Path.cwd()).resolve()
-    files = collect_files([p.resolve() for p in paths])
-    modules = []
-    for file in files:
-        text = file.read_text(encoding="utf-8")
-        modules.append(SourceModule.from_text(text, file, _relpath(file, root)))
-    return modules
+    return [
+        SourceModule.from_text(text, file, rel)
+        for file, rel, text in read_sources(paths, root=root)
+    ]
 
 
 def analyze_paths(
@@ -190,127 +202,50 @@ def analyze_paths_cached(
     ignore: set[str] | None = None,
     cache_dir: Path | None = None,
     use_cache: bool = True,
-    changed_only: bool = False,
 ) -> tuple[AnalysisResult, "CacheStats"]:
-    """:func:`analyze_paths` with the incremental cache in the loop.
-
-    Three regimes, decided by the per-file digests
-    (:mod:`repro.analysis.cache`):
-
-    - **all files valid** — the report is assembled from cached findings
-      without running a single checker (the warm fast path);
-    - **some files dirty, full mode** — the whole project is re-analyzed
-      and the cache rewritten;
-    - **some files dirty, ``changed_only``** — only the dirty files plus
-      their transitive import closure are analyzed; fresh findings for
-      the dirty files merge with cached findings for the rest.  This is
-      a CI *pre-step*: findings that depend on context outside the
-      closure (a dispatcher that newly reaches into a dirty file) wait
-      for the authoritative full run, so changed-only never writes the
-      cache.
-    """
+    """:func:`analyze_paths` behind the whole-tree cache
+    (:mod:`repro.analysis.cache`): a hit returns the stored report without
+    parsing a file; a miss analyzes everything and rewrites the cache."""
     from repro.analysis.cache import (
         CACHE_DIR,
         CACHE_FILE,
-        AnalysisCache,
         CacheStats,
-        deps_digests,
-        finding_from_dict,
-        global_digest,
+        read_report,
+        tree_key,
+        write_report,
     )
 
     root = (root or Path.cwd()).resolve()
-    modules = load_modules(paths, root=root)
     active = checkers if checkers is not None else all_checkers()
     if not use_cache:
-        result = analyze_sources(
-            modules, checkers=active, select=select, ignore=ignore
+        result = analyze_paths(
+            paths, root=root, checkers=active, select=select, ignore=ignore
         )
         return result, CacheStats(enabled=False)
 
+    sources = read_sources(paths, root=root)
     codes = dict(FRAMEWORK_CODES)
     for checker in active:
         codes.update(checker.codes)
-    digest = global_digest(modules, select=select, ignore=ignore, codes=codes)
-    graph = Project(modules=list(modules)).graph().modules
-    deps = deps_digests(modules, graph=graph)
-
-    cache_path = Path(cache_dir) if cache_dir is not None else Path(CACHE_DIR)
-    if not cache_path.is_absolute():
-        cache_path = root / cache_path
-    cache = AnalysisCache.load(cache_path / CACHE_FILE)
-    valid, dirty = cache.split_valid(modules, global_digest=digest, deps=deps)
-    stats = CacheStats(
-        enabled=True, hits=len(valid), misses=len(dirty), dirty=list(dirty)
+    key = tree_key(
+        [(rel, text) for _file, rel, text in sources],
+        select=select,
+        ignore=ignore,
+        codes=codes,
     )
-
-    if not dirty:
-        findings = [
-            finding_from_dict(payload)
-            for rel in sorted(valid)
-            for payload in valid[rel]["findings"]
-        ]
-        suppressed = [
-            finding_from_dict(payload)
-            for rel in sorted(valid)
-            for payload in valid[rel]["suppressed"]
-        ]
-        findings.sort(key=Finding.sort_key)
-        suppressed.sort(key=Finding.sort_key)
-        stats.fast_path = True
-        return (
-            AnalysisResult(
-                findings=findings,
-                files_scanned=len(modules),
-                checkers=active,
-                suppressed=suppressed,
-            ),
-            stats,
+    cache_path = root / (cache_dir if cache_dir is not None else CACHE_DIR) / CACHE_FILE
+    stored = read_report(cache_path, key)
+    if stored is not None:
+        findings, suppressed = stored
+        result = AnalysisResult(
+            findings=findings,
+            files_scanned=len(sources),
+            checkers=active,
+            suppressed=suppressed,
         )
+        return result, CacheStats(enabled=True, hits=len(sources))
 
-    if changed_only:
-        dirty_set = set(dirty)
-        dirty_names = [
-            m.module_name for m in modules if m.rel in dirty_set and m.module_name
-        ]
-        closure = set(graph.import_closure(dirty_names))
-        reduced = [
-            m
-            for m in modules
-            if m.rel in dirty_set or m.module_name in closure
-        ]
-        result = analyze_sources(
-            reduced, checkers=active, select=select, ignore=ignore
-        )
-        findings = [f for f in result.findings if f.path in dirty_set]
-        suppressed = [f for f in result.suppressed if f.path in dirty_set]
-        for rel in sorted(valid):
-            findings.extend(
-                finding_from_dict(p) for p in valid[rel]["findings"]
-            )
-            suppressed.extend(
-                finding_from_dict(p) for p in valid[rel]["suppressed"]
-            )
-        findings.sort(key=Finding.sort_key)
-        suppressed.sort(key=Finding.sort_key)
-        return (
-            AnalysisResult(
-                findings=findings,
-                files_scanned=len(modules),
-                checkers=active,
-                suppressed=suppressed,
-            ),
-            stats,
-        )
-
+    modules = [SourceModule.from_text(text, file, rel) for file, rel, text in sources]
     result = analyze_sources(modules, checkers=active, select=select, ignore=ignore)
-    cache.refresh(
-        modules,
-        result.findings,
-        result.suppressed,
-        global_digest=digest,
-        deps=deps,
-    )
-    cache.save()
-    stats.wrote = True
-    return result, stats
+    write_report(cache_path, key, result.findings, result.suppressed)
+    return result, CacheStats(enabled=True, misses=len(sources))

@@ -1,25 +1,29 @@
-"""The incremental cache: invalidation, fast path, and byte-identity.
+"""The whole-tree cache: hits, misses, and byte-identity.
 
 The property at the bottom is the report's core guarantee, stated once
 and machine-checked: the rendered JSON artifact is a pure function of
-the analyzed tree — not of input path order, not of cache state (cold
-vs warm), and not of ``--changed-only`` on an unchanged tree.
+the analyzed tree — not of input path order and not of cache state
+(cold vs warm).
 """
 
+import ast
+import gc
 import json
+import shutil
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cache import CACHE_FILE, AnalysisCache
+from repro.analysis.cache import CACHE_FILE, read_report
 from repro.analysis.reporting import (
     exit_code_for,
     render_json,
     split_without_baseline,
 )
-from repro.analysis.runner import analyze_paths_cached
+from repro.analysis.runner import analyze_paths_cached, analyze_sources, load_modules
 
 CLEAN_PKG = {
     "pkg/__init__.py": "",
@@ -58,34 +62,87 @@ def report_of(result, paths) -> str:
 def test_cold_then_warm_fast_path(tmp_path):
     write_tree(tmp_path, CLEAN_PKG)
     cold, stats = run(tmp_path)
-    assert (stats.hits, stats.misses, stats.fast_path) == (0, 3, False)
-    assert stats.wrote
+    assert (stats.hits, stats.misses) == (0, 3)
+    assert (tmp_path / ".analysis-cache" / CACHE_FILE).exists()
     warm, stats = run(tmp_path)
-    assert (stats.hits, stats.misses, stats.fast_path) == (3, 0, True)
+    assert (stats.hits, stats.misses) == (3, 0)
     assert report_of(warm, ["pkg"]) == report_of(cold, ["pkg"])
 
 
-def test_body_edit_invalidates_file_and_dependents(tmp_path):
-    write_tree(tmp_path, CLEAN_PKG)
+def test_body_edit_misses(tmp_path):
+    write_tree(tmp_path, DIRTY_PKG)
     run(tmp_path)
-    helper = tmp_path / "pkg/helper.py"
-    helper.write_text(
-        helper.read_text(encoding="utf-8") + "\n\ndef h2():\n    return 2\n",
+    pure = tmp_path / "pkg/pure.py"
+    pure.write_text(
+        pure.read_text(encoding="utf-8") + "\n\ndef triple(x):\n    return 3 * x\n",
         encoding="utf-8",
     )
-    _result, stats = run(tmp_path)
-    assert sorted(stats.dirty) == ["pkg/helper.py", "pkg/user.py"]
-    assert stats.hits == 1  # __init__ does not import the helper
+    result, stats = run(tmp_path)
+    assert (stats.hits, stats.misses) == (0, 3)
+    # the untouched clock.py finding is re-derived, not merged from the cache
+    assert [f.code for f in result.findings] == ["REP101"]
+
+
+def test_deleted_module_misses(tmp_path):
+    write_tree(tmp_path, DIRTY_PKG)
+    run(tmp_path)
+    (tmp_path / "pkg/clock.py").unlink()
+    result, stats = run(tmp_path)
+    assert (stats.hits, stats.misses) == (0, 2)
+    assert result.files_scanned == 2
+    assert result.findings == []
+
+
+def test_select_change_misses(tmp_path):
+    write_tree(tmp_path, DIRTY_PKG)
+    run(tmp_path)
+    result, stats = run(tmp_path, select={"REP102"})
+    assert (stats.hits, stats.misses) == (0, 3)
+    assert result.findings == []
+    _result, stats = run(tmp_path, select={"REP102"})
+    assert stats.hits == 3
 
 
 def test_interface_change_invalidates_everything(tmp_path):
     write_tree(tmp_path, CLEAN_PKG)
     run(tmp_path)
     init = tmp_path / "pkg/__init__.py"
-    # a new class changes __init__'s interface facts -> global digest
     init.write_text("class Registry:\n    pass\n", encoding="utf-8")
     _result, stats = run(tmp_path)
     assert stats.misses == 3 and stats.hits == 0
+
+
+def test_warm_hit_parses_nothing(tmp_path, monkeypatch):
+    write_tree(tmp_path, DIRTY_PKG)
+    cold, _ = run(tmp_path)
+
+    def no_parse(*_args, **_kwargs):
+        raise AssertionError("a warm hit must not parse")
+
+    monkeypatch.setattr(ast, "parse", no_parse)
+    warm, stats = run(tmp_path)
+    assert stats.hits == 3
+    assert report_of(warm, ["pkg"]) == report_of(cold, ["pkg"])
+
+
+def test_runs_share_no_memoized_facts(tmp_path):
+    """Facts live on each run's modules and graph: a second analysis in
+    the same process after an edit sees the edit, and the first run's
+    trees are freed once its modules are dropped."""
+    write_tree(tmp_path, CLEAN_PKG)
+    before = load_modules([tmp_path / "pkg"], root=tmp_path)
+    assert analyze_sources(before).findings == []
+    tree = weakref.ref(before[1].tree)
+    aliases = before[1].aliases
+    (tmp_path / "pkg/helper.py").write_text(
+        "import time\n\n\ndef h():\n    return time.time()\n", encoding="utf-8"
+    )
+    after = load_modules([tmp_path / "pkg"], root=tmp_path)
+    assert [f.code for f in analyze_sources(after).findings] == ["REP101"]
+    assert after[1].aliases == {"time": "time"} and aliases == {}
+    del before
+    gc.collect()
+    assert tree() is None
 
 
 def test_no_cache_reads_and_writes_nothing(tmp_path):
@@ -99,34 +156,17 @@ def test_corrupt_cache_degrades_to_cold(tmp_path):
     write_tree(tmp_path, CLEAN_PKG)
     run(tmp_path)
     cache_file = tmp_path / ".analysis-cache" / CACHE_FILE
+    key = json.loads(cache_file.read_text(encoding="utf-8"))["key"]
     cache_file.write_text("{not json", encoding="utf-8")
-    assert AnalysisCache.load(cache_file).files == {}
+    assert read_report(cache_file, key) is None
     _result, stats = run(tmp_path)
-    assert stats.misses == 3 and stats.wrote
-
-
-def test_changed_only_merges_cached_findings(tmp_path):
-    write_tree(tmp_path, DIRTY_PKG)
-    full, _ = run(tmp_path)  # populates the cache; clock.py carries REP101
-    pure = tmp_path / "pkg/pure.py"
-    pure.write_text(
-        pure.read_text(encoding="utf-8") + "\n\ndef triple(x):\n    return 3 * x\n",
-        encoding="utf-8",
-    )
-    merged, stats = run(tmp_path, changed_only=True)
-    assert stats.dirty == ["pkg/pure.py"]
-    assert not stats.wrote  # the pre-step never writes the cache
-    # the untouched clock.py finding came from the cache, verbatim
-    assert report_of(merged, ["pkg"]) == report_of(run(tmp_path, use_cache=False)[0], ["pkg"])
-    assert any(f.code == "REP101" for f in merged.findings)
-    assert merged.files_scanned == 3
+    assert stats.misses == 3
+    assert read_report(cache_file, key) is not None
 
 
 def test_deleting_cache_reproduces_bytes(tmp_path):
     write_tree(tmp_path, DIRTY_PKG)
     first, _ = run(tmp_path)
-    import shutil
-
     shutil.rmtree(tmp_path / ".analysis-cache")
     second, stats = run(tmp_path)
     assert stats.misses == 3
@@ -158,14 +198,8 @@ def demo_env(tmp_path_factory):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(
-    order=st.permutations(DEMO_FILES),
-    warm=st.booleans(),
-    changed_only=st.booleans(),
-)
-def test_report_is_a_pure_function_of_the_tree(demo_env, order, warm, changed_only):
-    import shutil
-
+@given(order=st.permutations(DEMO_FILES), warm=st.booleans())
+def test_report_is_a_pure_function_of_the_tree(demo_env, order, warm):
     cache_dir = demo_env["cache_dir"]
     root = demo_env["root"]
     if warm:
@@ -179,7 +213,6 @@ def test_report_is_a_pure_function_of_the_tree(demo_env, order, warm, changed_on
         [DEMO_DIR / name for name in order],
         root=root,
         cache_dir=cache_dir,
-        changed_only=changed_only,
     )
     assert report_of(result, list(order)) == demo_env["reference"]
 

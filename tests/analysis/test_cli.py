@@ -30,12 +30,19 @@ def in_fixture_dir(monkeypatch):
     monkeypatch.chdir(HERE)
 
 
+@pytest.fixture
+def cache(tmp_path):
+    """``--cache-dir`` arguments that keep the cache out of the repo, so
+    every run below analyzes cold instead of reusing an earlier report."""
+    return ["--cache-dir", str(tmp_path / "analysis-cache")]
+
+
 def _report(capsys) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
-def test_fixture_package_trips_every_checker(in_fixture_dir, capsys):
-    code = main(["fixtures/demo", "--no-baseline", "--format", "json"])
+def test_fixture_package_trips_every_checker(in_fixture_dir, cache, capsys):
+    code = main(["fixtures/demo", "--no-baseline", "--format", "json", *cache])
     report = _report(capsys)
     assert code == 1
     assert report["exit_code"] == 1
@@ -45,14 +52,14 @@ def test_fixture_package_trips_every_checker(in_fixture_dir, capsys):
     assert report["counts"]["suppressed"] == 1  # the earned REP101 suppression
 
 
-def test_write_baseline_then_clean_run(in_fixture_dir, tmp_path, capsys):
+def test_write_baseline_then_clean_run(in_fixture_dir, cache, tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
     assert main(["fixtures/demo", "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
+                 "--write-baseline", *cache]) == 0
     assert baseline.exists()
 
     code = main(["fixtures/demo", "--baseline", str(baseline),
-                 "--format", "json"])
+                 "--format", "json", *cache])
     report = _report(capsys)
     assert code == 0
     assert report["findings"] == []
@@ -113,14 +120,14 @@ def test_rep002_on_unparseable_file(tmp_path, monkeypatch, capsys):
     assert [f["code"] for f in report["findings"]] == ["REP002"]
 
 
-def test_select_and_ignore(in_fixture_dir, capsys):
+def test_select_and_ignore(in_fixture_dir, cache, capsys):
     main(["fixtures/demo", "--no-baseline", "--format", "json",
-          "--select", "REP201"])
+          "--select", "REP201", *cache])
     report = _report(capsys)
     assert {f["code"] for f in report["findings"]} == {"REP201"}
 
     main(["fixtures/demo", "--no-baseline", "--format", "json",
-          "--ignore", "REP201,REP202,REP203"])
+          "--ignore", "REP201,REP202,REP203", *cache])
     report = _report(capsys)
     assert not {"REP201", "REP202", "REP203"} & {
         f["code"] for f in report["findings"]
@@ -134,17 +141,17 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_output_writes_json_artifact(in_fixture_dir, tmp_path, capsys):
+def test_output_writes_json_artifact(in_fixture_dir, cache, tmp_path, capsys):
     out = tmp_path / "report.json"
     main(["fixtures/demo", "--no-baseline", "--format", "json",
-          "--output", str(out)])
+          "--output", str(out), *cache])
     on_disk = json.loads(out.read_text(encoding="utf-8"))
     assert on_disk == _report(capsys)
 
 
-def test_golden_report_shape(in_fixture_dir, capsys):
+def test_golden_report_shape(in_fixture_dir, cache, capsys):
     """The JSON artifact matches the committed golden report exactly."""
-    main(["fixtures/demo", "--no-baseline", "--format", "json"])
+    main(["fixtures/demo", "--no-baseline", "--format", "json", *cache])
     report = _report(capsys)
     golden = json.loads(
         (HERE / "golden_report.json").read_text(encoding="utf-8")
@@ -152,12 +159,26 @@ def test_golden_report_shape(in_fixture_dir, capsys):
     assert report == golden
 
 
-def test_self_host_src_repro_is_clean(monkeypatch, capsys):
+def test_self_host_src_repro_is_clean(monkeypatch, cache, capsys):
     """The analyzer passes over the tree that ships it (the committed
     baseline holds only justified exceptions, currently none)."""
     monkeypatch.chdir(REPO_ROOT)
-    code = main(["src/repro", "--format", "json"])
+    code = main(["src/repro", "--format", "json", *cache])
     report = _report(capsys)
     assert code == 0, [f["summary"] if "summary" in f else f
                        for f in report["findings"]]
     assert report["findings"] == []
+
+
+def test_stats_prints_one_cache_line(in_fixture_dir, cache, capsys):
+    args = ["fixtures/demo", "--no-baseline", "--stats", *cache]
+    main(args)
+    assert capsys.readouterr().err.splitlines() == [
+        "cache: miss, 12 file(s) analyzed, cache rewritten"
+    ]
+    main(args)
+    assert capsys.readouterr().err.splitlines() == [
+        "cache: hit, stored report reused for 12 file(s)"
+    ]
+    main([*args, "--no-cache"])
+    assert capsys.readouterr().err.splitlines() == ["cache: disabled (--no-cache)"]

@@ -48,6 +48,34 @@ def test_parse_suppressions_blanket_and_codes():
     )
     sup = parse_suppressions(text)
     assert sup == {1: set(), 2: {"REP101"}, 3: {"REP101", "REP104"}}
+    # a malformed marker is no blanket waiver: it names no code, so it
+    # suppresses nothing and surfaces as REP001
+    malformed = (
+        "a = 1  # repro: ignore[rep101]\n"
+        "b = 2  # repro: ignore[]\n"
+        "c = 3  # repro: ignored\n"
+    )
+    assert parse_suppressions(malformed) == {
+        1: {"ignore[rep101]"},
+        2: {"ignore[]"},
+        3: {"ignored"},
+    }
+    assert parse_suppressions("x = 1  # no marker here\n") == {}
+
+
+def test_malformed_suppression_suppresses_nothing(analyze):
+    result = analyze({
+        "mod.py": """\
+            import time
+
+
+            def a():
+                return time.time()  # repro: ignored
+        """
+    })
+    assert codes(result) == ["REP001", "REP101"]
+    assert result.suppressed == []
+    assert "malformed suppression 'repro: ignored'" in result.findings[0].message
 
 
 def test_suppression_in_string_or_docstring_is_prose():

@@ -1,4 +1,4 @@
-"""The whole-program graph: import closure, symbol resolution, calls.
+"""The whole-program graph: import edges, symbol resolution, calls.
 
 Everything here runs on tiny in-memory projects, so each test isolates
 one resolution idiom — aliased imports, re-exports, assignment aliases,
@@ -18,18 +18,21 @@ def graph_of(sources):
 # -- module graph --------------------------------------------------------------
 
 
-def test_import_closure_and_dependents():
+def test_plain_import_records_the_full_module_edge():
     g = graph_of({
         "pkg/__init__.py": "",
         "pkg/a.py": "from pkg.b import item\n",
         "pkg/b.py": "import pkg.c\nitem = 1\n",
         "pkg/c.py": "",
     })
-    mg = g.modules
     # pkg.b's ``import pkg.c`` binds only ``pkg`` but depends on pkg.c,
-    # so both land in the closure
-    assert mg.import_closure(["pkg.a"]) == ["pkg", "pkg.a", "pkg.b", "pkg.c"]
-    assert mg.dependent_closure(["pkg.c"]) == ["pkg.a", "pkg.b", "pkg.c"]
+    # so both edges are recorded
+    assert g.modules.imports == {
+        "pkg": [],
+        "pkg.a": ["pkg.b"],
+        "pkg.b": ["pkg", "pkg.c"],
+        "pkg.c": [],
+    }
 
 
 def test_relative_imports_resolve_against_the_package():
@@ -47,8 +50,11 @@ def test_import_cycles_terminate():
         "cyc/a.py": "from cyc.b import f\n",
         "cyc/b.py": "from cyc.a import g\n",
     })
-    assert g.modules.import_closure(["cyc.a"]) == ["cyc.a", "cyc.b"]
-    assert g.modules.dependent_closure(["cyc.a"]) == ["cyc.a", "cyc.b"]
+    assert g.modules.imports == {
+        "cyc": [],
+        "cyc.a": ["cyc.b"],
+        "cyc.b": ["cyc.a"],
+    }
 
 
 # -- symbol table --------------------------------------------------------------
@@ -150,6 +156,7 @@ DEPLOYED_SERVICE = {
 def test_dispatch_roots_from_exposures():
     project = Project(modules=modules_from(DEPLOYED_SERVICE))
     roots = project.graph().calls.dispatch_roots(project)
+    assert project.graph().dispatch_roots == roots  # the per-run copy
     assert "app.svc:Svc.op" in roots
     assert "app.svc:Svc.shielded" in roots
     assert "app.svc:Svc._inner" not in roots
