@@ -226,6 +226,19 @@ class SchemaError(PortalError):
     retryable = False  # the document will not validate twice
 
 
+class EncodingError(PortalError, ValueError):
+    """A value cannot be encoded for the wire or decoded from it: text
+    holding characters XML 1.0 cannot carry, a struct no encoding covers,
+    a typed element whose text does not parse as its type.
+
+    Still a ``ValueError`` for callers that treat it as a plain bad-value
+    signal.
+    """
+
+    code = "Portal.Encoding"
+    retryable = False  # the same value will still not encode
+
+
 class ReplicationError(PortalError):
     """A replication-protocol failure (malformed sync payload, out-of-order
     operation, region mismatch)."""
@@ -285,6 +298,7 @@ _CODE_REGISTRY: dict[str, type[PortalError]] = {
         DataTransferError,
         ContextError,
         SchemaError,
+        EncodingError,
         DiscoveryError,
         BudgetViolationError,
         DeadlineExceededError,

@@ -9,15 +9,16 @@ in the ``urn:gce:trace`` namespace, attached by the client's header-provider
 hook and extracted in server dispatch, exactly like the deadline and
 idempotency headers that already cross provider boundaries.
 
-IDs are generated by a seeded :class:`IdGenerator` — a counter folded
-through a fixed odd multiplier, no ``random`` and no wall clock — so a
-chaos-harness run with a fixed seed produces byte-identical traces on every
-run.
+IDs are generated by a seeded :class:`IdGenerator` — a private seeded
+``random.Random``, no wall clock and no global state — so a chaos-harness
+run with a fixed seed produces byte-identical traces on every run.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from repro.headers import register_header
 from repro.xmlutil.element import XmlElement
@@ -163,47 +164,35 @@ def traceparent(trace_id: str, span_id: str) -> str:
 class IdGenerator:
     """Deterministic trace/span id generation.
 
-    One shared counter is folded through a fixed odd multiplier (a bijection
-    modulo the id width, so ids never collide) and xored with the seed, so
-    ids *look* opaque but depend only on (seed, allocation order).  Two runs
-    with the same seed and the same call sequence mint identical ids — the
-    property the chaos determinism tests assert.
+    ``trace_id()`` returns a fresh 128-bit id (32 hex digits),
+    ``span_id()`` a fresh 64-bit one (16 hex digits).  Both draw from one
+    private :class:`random.Random` seeded with the generator's seed — no
+    wall clock, no shared global state — so ids *look* opaque but depend
+    only on (seed, allocation order): two runs with the same seed and the
+    same call sequence mint identical ids, the property the chaos
+    determinism tests assert.  Two distinct span ids collide with
+    probability 2**-64.
     """
 
-    #: odd multiplicative constant: bijective modulo 2**64
-    _MIX = 0x9E3779B97F4A7C15
-    _M64 = 0xFFFFFFFFFFFFFFFF
+    #: ids minted per draw from the generator
+    BATCH = 1024
 
     def __init__(self, seed: int = 0):
-        self.seed = seed & self._M64
-        # the seed's contribution to every chunk is fixed — folded once
-        # here instead of once per minted id (four ids per traced call)
-        self._seed_mix = (self.seed * 0xC2B2AE3D27D4EB4F) & self._M64
-        self._count = 0
+        self.seed = seed
+        bits = random.Random(seed).getrandbits
 
-    def _chunk(self, salt: int) -> int:
-        # splitmix64-style finalizer over (count, seed, salt)
-        v = (self._count * self._MIX + salt * 0x85EBCA77C2B2AE63) & self._M64
-        v ^= self._seed_mix
-        v = ((v ^ (v >> 31)) * 0x94D049BB133111EB) & self._M64
-        return v ^ (v >> 29)
+        def minter(width: int):
+            digits = width * self.BATCH
+            layout = f"%0{digits}x"
 
-    def _next(self, hex_width: int) -> str:
-        self._count += 1
-        value = 0
-        for salt in range((hex_width + 15) // 16):
-            value = (value << 64) | self._chunk(salt + 1)
-        mask = (1 << (4 * hex_width)) - 1
-        return f"{value & mask:0{hex_width}x}"
+            def batch(_) -> list[str]:
+                block = layout % bits(4 * digits)
+                return [block[i:i + width] for i in range(0, digits, width)]
 
-    def trace_id(self) -> str:
-        """A fresh 128-bit trace id (``_next(32)``, unrolled: every traced
-        call mints one, so the generic width loop is per-call cost)."""
-        self._count += 1
-        return f"{(self._chunk(1) << 64) | self._chunk(2):032x}"
+            # a traced SOAP call mints one trace id and three span ids;
+            # formatting a batch at once and handing ids out through a
+            # C-level iterator keeps that off the per-call path
+            return chain.from_iterable(map(batch, repeat(None))).__next__
 
-    def span_id(self) -> str:
-        """A fresh 64-bit span id (``_next(16)``, unrolled — three per
-        traced SOAP call)."""
-        self._count += 1
-        return f"{self._chunk(1):016x}"
+        self.trace_id = minter(32)
+        self.span_id = minter(16)

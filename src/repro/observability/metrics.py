@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any
 
 #: histogram bucket upper bounds, seconds: 1ms .. ~524s, doubling
@@ -122,13 +123,10 @@ class QuantileSketch:
         """Upper-bound estimate of the *q* quantile (0 < q <= 1)."""
         if not self.count:
             return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= rank and n:
-                return self.MIN * 2 ** (i / self.STEPS_PER_DOUBLING)
-        return self.MIN * 2 ** (self.BUCKETS / self.STEPS_PER_DOUBLING)
+        # the first bucket whose running total reaches the rank is never
+        # empty (rank > 0), so a C-level bisect over the totals finds it
+        i = bisect_left(list(accumulate(self.counts)), q * self.count)
+        return self.MIN * 2 ** (min(i, self.BUCKETS) / self.STEPS_PER_DOUBLING)
 
     def to_dict(self) -> dict[str, Any]:
         return {"count": self.count, "counts": list(self.counts)}
@@ -138,18 +136,21 @@ class QuantileSketch:
 class RedSeries:
     """One (service, method, side) row of RED state."""
 
-    requests: int = 0
     errors: int = 0
     latency: Histogram = field(default_factory=Histogram)
 
+    @property
+    def requests(self) -> int:
+        """Every request lands one latency sample, so the histogram's
+        count is the request count."""
+        return self.latency.count
+
     def record(self, duration: float, error: bool) -> None:
-        self.requests += 1
         if error:
             self.errors += 1
         self.latency.record(duration)
 
     def merge(self, other: "RedSeries") -> None:
-        self.requests += other.requests
         self.errors += other.errors
         self.latency.merge(other.latency)
 

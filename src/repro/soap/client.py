@@ -24,6 +24,7 @@ from typing import Any, Callable
 from repro.faults import DeadlineExceededError, PortalError, retry_after_hint
 from repro.observability.context import TRACEPARENT, traceparent
 from repro.observability.sampling import sampling_header
+from repro.soap.encoding import SoapEncodingError, decode_value
 from repro.soap.message import (
     SoapEnvelope,
     SoapFault,
@@ -209,7 +210,13 @@ class SoapClient:
             self.endpoint, envelope.serialize(), http_headers
         )
         self.calls_made += 1
-        parsed = SoapEnvelope.parse(response.body)
+        try:
+            parsed = SoapEnvelope.parse(response.body)
+        except ValueError as exc:
+            raise SoapEncodingError(
+                f"unreadable response from {self.endpoint}: {exc}",
+                {"method": method, "endpoint": self.endpoint},
+            ) from None
         self.last_response = parsed
         if parsed.is_fault:
             fault = SoapFault.from_xml(parsed.body)
@@ -220,8 +227,6 @@ class SoapClient:
         return_node = parsed.body.find("return")
         if return_node is None:
             return None
-        from repro.soap.encoding import decode_value
-
         return decode_value(return_node)
 
     def _attempt(
@@ -241,17 +246,17 @@ class SoapClient:
                 self.service_name, method, "client"
             )
         tracer = obs.tracer
-        clock = self.clock
-        started = clock.now
         span = tracer.start(method, "client", self.service_name, self.source)
         try:
             result = self._call_once(method, params, deadline, idem_key, span)
         except Exception as exc:
             tracer.end(span, error=self._error_code(exc))
-            series.record(clock.now - started, True)
+            series.record(span.end - span.start, True)
             raise
         tracer.end(span)
-        series.record(clock.now - started, False)
+        # the span was timed on this client's clock: its duration is the
+        # RED sample
+        series.record(span.end - span.start, False)
         return result
 
     def call(

@@ -20,7 +20,7 @@ from repro.durability.idempotency import (
 from repro.faults import InvalidRequestError, PortalError
 from repro.observability.context import TRACEPARENT, TraceContext
 from repro.observability.sampling import sampling_from_headers
-from repro.soap.encoding import decode_value
+from repro.soap.encoding import SoapEncodingError, decode_value
 from repro.soap.message import (
     SoapEnvelope,
     SoapFault,
@@ -195,15 +195,13 @@ class SoapService:
                 self.name, method_name, "server"
             )
         tracer = obs.tracer
-        clock = obs.clock
-        started = clock.now
         replays_before = self.replays_served
         span = tracer.start(method_name, "server", self.name, self.host, parent)
         try:
             response = self._dispatch(envelope)
         except ServiceCrash:
             tracer.end(span, error="ServiceCrash")
-            series.record(clock.now - started, True)
+            series.record(span.end - span.start, True)
             raise
         error = ""
         if response.is_fault:
@@ -215,7 +213,8 @@ class SoapService:
         if self.replays_served > replays_before:
             span.attributes["replayed"] = True
         tracer.end(span, error=error)
-        series.record(clock.now - started, bool(error))
+        # the span was timed on the host clock: its duration is the sample
+        series.record(span.end - span.start, error != "")
         return response
 
     def _dispatch(self, envelope: SoapEnvelope) -> SoapEnvelope:
@@ -414,20 +413,31 @@ class SoapService:
         try:
             envelope = SoapEnvelope.parse(request.body)
         except ValueError as exc:
-            fault = SoapFault("Client", f"malformed SOAP request: {exc}", self.name)
-            return HttpResponse(
-                500,
-                {"Content-Type": "text/xml"},
-                SoapEnvelope(fault.to_xml()).serialize(),
-            )
+            self.faults_returned += 1
+            error = InvalidRequestError(f"malformed SOAP request: {exc}")
+            return self._fault_response(error, faultcode="Client")
         raw_parent = request.headers.get(TRACEPARENT)
         parent = (
             TraceContext.from_traceparent(raw_parent) if raw_parent else None
         )
         response = self.dispatch(envelope, parent=parent)
+        try:
+            body = response.serialize()
+        except SoapEncodingError as err:  # a result no XML parser would read
+            self.faults_returned += 1
+            return self._fault_response(err)
         status = 500 if response.is_fault else 200
+        return HttpResponse(status, {"Content-Type": "text/xml"}, body)
+
+    def _fault_response(
+        self, err: PortalError, faultcode: str = "Server"
+    ) -> HttpResponse:
+        fault = SoapFault.from_portal_error(err, actor=self.name)
+        fault.faultcode = faultcode
         return HttpResponse(
-            status, {"Content-Type": "text/xml"}, response.serialize()
+            500,
+            {"Content-Type": "text/xml"},
+            SoapEnvelope(fault.to_xml()).serialize(),
         )
 
     def mount(self, server: HttpServer, path: str = "/soap") -> str:

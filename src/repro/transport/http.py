@@ -123,10 +123,20 @@ def _body_bytes(body: str) -> int:
     payloads as UTF-8.  Counting latin-1 first keeps binary transfers from
     being double-counted.
     """
+    if body.isascii():  # one byte per character either way, no copy
+        return len(body)
     try:
         return len(body.encode("latin-1"))
     except UnicodeEncodeError:
-        return len(body.encode("utf-8"))
+        # a lone surrogate (hostile input) still has a size on the wire
+        return len(body.encode("utf-8", "surrogatepass"))
+
+
+def _headers_size(headers: dict[str, str]) -> int:
+    """Wire size of a header block: ``name: value\r\n`` per header."""
+    return (
+        sum(map(len, headers)) + sum(map(len, headers.values())) + 4 * len(headers)
+    )
 
 
 @dataclass
@@ -142,8 +152,7 @@ class HttpRequest:
     def size(self) -> int:
         """Approximate bytes on the wire (request line + headers + body)."""
         head = len(self.method) + len(str(self.url)) + 12
-        head += sum(len(k) + len(v) + 4 for k, v in self.headers.items())
-        return head + _body_bytes(self.body)
+        return head + _headers_size(self.headers) + _body_bytes(self.body)
 
     def form(self) -> dict[str, str]:
         """Decode a form-encoded POST body (or the query string for GET)."""
@@ -166,5 +175,4 @@ class HttpResponse:
 
     @property
     def size(self) -> int:
-        head = 17 + sum(len(k) + len(v) + 4 for k, v in self.headers.items())
-        return head + _body_bytes(self.body)
+        return 17 + _headers_size(self.headers) + _body_bytes(self.body)

@@ -435,7 +435,8 @@ class VirtualNetwork:
         if new_connection:
             self.stats.connections += 1
             forward += link.connect_latency
-        forward += link.transfer_time(request.size)
+        request_size = request.size
+        forward += link.transfer_time(request_size)
         spike = self._latency_spike.get(host)
         if spike is not None and self._rng.random() < spike[0]:
             forward += spike[1]
@@ -449,13 +450,14 @@ class VirtualNetwork:
         # runs, so the server observes the request's true arrival time (this
         # is what lets it shed work whose deadline passed in flight)
         self.clock.advance(forward * factor)
-        self.stats.bytes_sent += request.size
+        self.stats.bytes_sent += request_size
 
         response = self._hosts[host](request)
 
-        back = self.link(host, source).transfer_time(response.size)
+        response_size = response.size
+        back = self.link(host, source).transfer_time(response_size)
         self.clock.advance(back * factor)
-        self.stats.bytes_received += response.size
+        self.stats.bytes_received += response_size
         return response
 
     def reset_stats(self) -> None:

@@ -5,7 +5,8 @@ schema wizard) speaks XML.  This package provides, from scratch:
 
 - :mod:`repro.xmlutil.qname` — namespace-qualified names.
 - :mod:`repro.xmlutil.element` — a lightweight XML infoset
-  (:class:`XmlElement`), a serializer, and a hand-rolled parser.
+  (:class:`XmlElement`), a conformant serializer, and a parser on the
+  standard library's expat.
 - :mod:`repro.xmlutil.schema` — an XSD-subset Schema Object Model (SOM), the
   analogue of Castor's SOM used by the paper's schema wizard (Figure 3).
 - :mod:`repro.xmlutil.validation` — instance validation against a SOM.
@@ -14,7 +15,7 @@ schema wizard) speaks XML.  This package provides, from scratch:
 """
 
 from repro.xmlutil.qname import QName
-from repro.xmlutil.element import XmlElement, XmlParseError, parse_xml
+from repro.xmlutil.element import XmlCharError, XmlElement, XmlParseError, parse_xml
 from repro.xmlutil.schema import (
     XsdSchema,
     XsdElement,
@@ -29,6 +30,7 @@ from repro.xmlutil.binding import BindingGenerator, BoundObject, bind_schema
 
 __all__ = [
     "QName",
+    "XmlCharError",
     "XmlElement",
     "XmlParseError",
     "parse_xml",

@@ -1,20 +1,43 @@
-"""A lightweight XML infoset with serializer and hand-rolled parser.
+"""A lightweight XML infoset with a conformant serializer, parsed by expat.
 
 The portal layers exchange *documents*, not streams, and need deterministic
 serialization (for signing in :mod:`repro.security.saml`) plus namespace-aware
 access (for SOAP envelopes).  This module provides exactly that and nothing
 more: elements, attributes, character data, namespaces, comments-skipped.
+
+The wire must read back unchanged in any conformant XML stack, so both
+halves follow XML 1.0 rather than a lenient dialect of it:
+
+- :meth:`XmlElement.serialize` escapes every character a parser would
+  otherwise normalize (``\r`` in text; ``\r``, ``\n`` and ``\t`` in
+  attribute values become character references) and refuses text outside
+  the XML 1.0 ``Char`` production (C0 controls other than tab, LF and CR,
+  lone surrogates, U+FFFE and U+FFFF) with :class:`XmlCharError`.
+- :func:`parse_xml` is the standard library's expat.  A document type
+  declaration is rejected, not skipped: the portal's documents never need
+  one, and refusing it closes off entity expansion (billion laughs) and
+  external entities in one rule.
 """
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import Iterable, Iterator, Union
+from xml.parsers import expat
 
+from repro.faults import EncodingError
 from repro.xmlutil.qname import QName
 
-_ESCAPES_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ESCAPES_ATTR = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
-_NAMED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+# "&" first: the later replacements introduce ampersands of their own
+_MARKUP_TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+_MARKUP_ATTR = _MARKUP_TEXT + (('"', "&quot;"),)
+# whitespace a parser would normalize away unless it arrives as a reference
+_SPACES_TEXT = (("\r", "&#13;"),)
+_SPACES_ATTR = (("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#9;"))
+#: C0 controls outside XML 1.0 ``Char`` (tab, LF and CR are allowed)
+_C0_NON_CHARS = bytes(c for c in range(32) if c not in (9, 10, 13))
+_NON_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class XmlParseError(ValueError):
@@ -25,10 +48,52 @@ class XmlParseError(ValueError):
         self.pos = pos
 
 
-def _escape(text: str, table: dict[str, str]) -> str:
-    for raw, repl in table.items():
+class XmlCharError(EncodingError):
+    """Raised when a text or attribute value holds a character outside the
+    XML 1.0 ``Char`` production, which no conformant parser would accept.
+
+    Classified ``Portal.Encoding``, so a request or response that cannot
+    go on the wire fails the same way wherever it is serialized.
+    """
+
+    code = EncodingError.code
+    retryable = False  # the same text will still not serialize
+
+
+def _check_chars(text: str) -> None:
+    """Raise :class:`XmlCharError` unless *text* is all XML 1.0 ``Char``
+    (a byte scan: the per-character regex is only for the message)."""
+    try:
+        data = text.encode("utf-8")
+        legal = (
+            len(data.translate(None, _C0_NON_CHARS)) == len(data)
+            and "\ufffe" not in text
+            and "\uffff" not in text
+        )
+    except UnicodeEncodeError:  # a lone surrogate
+        legal = False
+    if not legal:
+        bad = _NON_CHAR.search(text)
+        char = bad.group() if bad else ""
+        raise XmlCharError(
+            f"character U+{ord(char):04X} is not allowed in XML 1.0"
+        )
+
+
+def _escape(
+    text: str,
+    markup: tuple[tuple[str, str], ...],
+    spaces: tuple[tuple[str, str], ...],
+) -> str:
+    for raw, repl in markup:
         if raw in text:
             text = text.replace(raw, repl)
+    # printable text holds no whitespace to escape and no illegal character
+    if not text.isprintable():
+        _check_chars(text)
+        for raw, repl in spaces:
+            if raw in text:
+                text = text.replace(raw, repl)
     return text
 
 
@@ -174,16 +239,6 @@ class XmlElement:
         self._serialize(parts, prefixes, indent, 0, parent_pretty=False)
         return "".join(parts)
 
-    def _prefix_for(
-        self, ns: str, prefixes: dict[str, str], declared: list[str]
-    ) -> str:
-        if not ns:
-            return ""
-        if ns not in prefixes:
-            prefixes[ns] = f"ns{len(prefixes)}"
-            declared.append(ns)
-        return prefixes[ns] + ":"
-
     def _serialize(
         self,
         parts: list[str],
@@ -195,33 +250,48 @@ class XmlElement:
         # indentation is only safe around element-only content; a parent with
         # mixed content must not have whitespace injected between its children
         pad = "\n" + " " * (indent * depth) if parent_pretty and depth else ""
-        # inherited prefixes are shared down the tree; new ones get declared here
+        # inherited prefixes are shared down the tree; new ones are declared
+        # here, on a copy of the map made only when there is a new one
         declared: list[str] = []
-        local_prefixes = dict(prefixes)
-        tag = self._prefix_for(self.tag.namespace, local_prefixes, declared) + self.tag.local
-        attr_parts: list[str] = []
+        name = self.tag.local
+        ns = self.tag.namespace
+        if ns:
+            if ns not in prefixes:
+                prefixes = dict(prefixes)
+                prefixes[ns] = f"ns{len(prefixes)}"
+                declared.append(ns)
+            name = f"{prefixes[ns]}:{name}"
+        parts.append(f"{pad}<{name}")
         for key, value in self.attributes.items():
-            name = self._prefix_for(key.namespace, local_prefixes, declared) + key.local
-            attr_parts.append(f' {name}="{_escape(value, _ESCAPES_ATTR)}"')
+            attr = key.local
+            ns = key.namespace
+            if ns:
+                if ns not in prefixes:
+                    if not declared:
+                        prefixes = dict(prefixes)
+                    prefixes[ns] = f"ns{len(prefixes)}"
+                    declared.append(ns)
+                attr = f"{prefixes[ns]}:{attr}"
+            parts.append(f' {attr}="{_escape(value, _MARKUP_ATTR, _SPACES_ATTR)}"')
         for ns in declared:
-            prefix = local_prefixes[ns]
-            attr_parts.append(f' xmlns:{prefix}="{_escape(ns, _ESCAPES_ATTR)}"')
-        open_tag = f"{pad}<{tag}{''.join(attr_parts)}"
-        if not self.content:
-            parts.append(open_tag + "/>")
+            uri = _escape(ns, _MARKUP_ATTR, _SPACES_ATTR)
+            parts.append(f' xmlns:{prefixes[ns]}="{uri}"')
+        content = self.content
+        if not content:
+            parts.append("/>")
             return
-        parts.append(open_tag + ">")
+        parts.append(">")
         pretty = indent is not None and all(
-            isinstance(c, XmlElement) for c in self.content
+            isinstance(c, XmlElement) for c in content
         )
-        for item in self.content:
+        for item in content:
             if isinstance(item, str):
-                parts.append(_escape(item, _ESCAPES_TEXT))
+                parts.append(_escape(item, _MARKUP_TEXT, _SPACES_TEXT))
             else:
-                item._serialize(parts, local_prefixes, indent, depth + 1, pretty)
+                item._serialize(parts, prefixes, indent, depth + 1, pretty)
         if pretty:
             parts.append("\n" + " " * ((indent or 0) * depth))
-        parts.append(f"</{tag}>")
+        parts.append(f"</{name}>")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<XmlElement {self.tag.clark()} children={len(self.children)}>"
@@ -255,214 +325,77 @@ class XmlElement:
 # ---------------------------------------------------------------------------
 
 
-class _Parser:
-    """A small recursive-descent, namespace-aware XML parser."""
+@lru_cache(maxsize=4096)
+def _qname(raw: str) -> QName:
+    """The QName for an expat name (``uri}local`` or ``local``); memoized
+    because the portal's vocabulary is small and QNames are immutable."""
+    namespace, _, local = raw.rpartition("}")
+    return QName(namespace, local)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.n = len(text)
 
-    def fail(self, message: str) -> XmlParseError:
-        return XmlParseError(message, self.pos)
+def parse_xml(text: str | bytes) -> XmlElement:
+    """Parse an XML document into an :class:`XmlElement` tree.
 
-    def parse_document(self) -> XmlElement:
-        self._skip_misc()
-        if self.pos >= self.n or self.text[self.pos] != "<":
-            raise self.fail("expected root element")
-        root = self._parse_element({"": "", "xml": "http://www.w3.org/XML/1998/namespace"})
-        self._skip_misc()
-        if self.pos != self.n:
-            raise self.fail("trailing content after root element")
-        return root
+    Adjacent character data (text, entity and character references, CDATA
+    sections, text either side of a comment) merges into one text item.
+    Malformed input, a ``DOCTYPE``, an unknown encoding or a lone surrogate
+    raises :class:`XmlParseError` with the byte offset of the fault.
+    """
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+    parser.ordered_attributes = True
+    stack: list[XmlElement] = []
+    roots: list[XmlElement] = []
+    # character data since the last tag, joined into one text item
+    chunks: list[str] = []
+    new = XmlElement.__new__
 
-    def _skip_misc(self) -> None:
-        """Skip whitespace, comments, processing instructions, and DOCTYPE."""
-        while self.pos < self.n:
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif self.text.startswith("<?", self.pos):
-                end = self.text.find("?>", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated processing instruction")
-                self.pos = end + 2
-            elif self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated comment")
-                self.pos = end + 3
-            elif self.text.startswith("<!DOCTYPE", self.pos):
-                depth = 0
-                while self.pos < self.n:
-                    c = self.text[self.pos]
-                    self.pos += 1
-                    if c == "<":
-                        depth += 1
-                    elif c == ">":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                else:
-                    raise self.fail("unterminated DOCTYPE")
-            else:
-                return
+    def flush() -> None:
+        stack[-1].content.append("".join(chunks))
+        chunks.clear()
 
-    def _parse_name(self) -> str:
-        start = self.pos
-        while self.pos < self.n and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_.:-"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise self.fail("expected a name")
-        return self.text[start:self.pos]
-
-    def _skip_ws(self) -> None:
-        while self.pos < self.n and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _resolve(self, name: str, nsmap: dict[str, str], *, attr: bool) -> QName:
-        if ":" in name:
-            prefix, local = name.split(":", 1)
-            if prefix not in nsmap:
-                raise self.fail(f"undeclared namespace prefix {prefix!r}")
-            return QName(nsmap[prefix], local)
-        # default namespace applies to elements, never to attributes
-        return QName("" if attr else nsmap.get("", ""), name)
-
-    def _parse_element(self, parent_nsmap: dict[str, str]) -> XmlElement:
-        assert self.text[self.pos] == "<"
-        self.pos += 1
-        name = self._parse_name()
-        raw_attrs: list[tuple[str, str]] = []
-        nsmap = dict(parent_nsmap)
-        while True:
-            self._skip_ws()
-            if self.pos >= self.n:
-                raise self.fail("unterminated start tag")
-            if self.text[self.pos] in "/>":
-                break
-            attr_name = self._parse_name()
-            self._skip_ws()
-            if self.pos >= self.n or self.text[self.pos] != "=":
-                raise self.fail(f"expected '=' after attribute {attr_name!r}")
-            self.pos += 1
-            self._skip_ws()
-            quote = self.text[self.pos] if self.pos < self.n else ""
-            if quote not in ("'", '"'):
-                raise self.fail("attribute value must be quoted")
-            self.pos += 1
-            end = self.text.find(quote, self.pos)
-            if end < 0:
-                raise self.fail("unterminated attribute value")
-            value = _decode_entities(self.text[self.pos:end], self)
-            self.pos = end + 1
-            if attr_name == "xmlns":
-                nsmap[""] = value
-            elif attr_name.startswith("xmlns:"):
-                nsmap[attr_name[6:]] = value
-            else:
-                raw_attrs.append((attr_name, value))
-
-        element = XmlElement(self._resolve(name, nsmap, attr=False))
-        for attr_name, value in raw_attrs:
-            element.attributes[self._resolve(attr_name, nsmap, attr=True)] = value
-
-        if self.text[self.pos] == "/":
-            if not self.text.startswith("/>", self.pos):
-                raise self.fail("malformed empty-element tag")
-            self.pos += 2
-            return element
-        self.pos += 1  # consume '>'
-        self._parse_content(element, nsmap, name)
-        return element
-
-    def _parse_content(
-        self, element: XmlElement, nsmap: dict[str, str], open_name: str
-    ) -> None:
-        buf: list[str] = []
-
-        def flush() -> None:
-            if buf:
-                text = "".join(buf)
-                buf.clear()
-                element.content.append(text)
-
-        while True:
-            if self.pos >= self.n:
-                raise self.fail(f"unterminated element <{open_name}>")
-            ch = self.text[self.pos]
-            if ch != "<":
-                nxt = self.text.find("<", self.pos)
-                if nxt < 0:
-                    raise self.fail(f"unterminated element <{open_name}>")
-                buf.append(_decode_entities(self.text[self.pos:nxt], self))
-                self.pos = nxt
-                continue
-            if self.text.startswith("</", self.pos):
-                flush()
-                self.pos += 2
-                close = self._parse_name()
-                if close != open_name:
-                    raise self.fail(
-                        f"mismatched close tag </{close}> for <{open_name}>"
-                    )
-                self._skip_ws()
-                if self.pos >= self.n or self.text[self.pos] != ">":
-                    raise self.fail("malformed close tag")
-                self.pos += 1
-                return
-            if self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated comment")
-                self.pos = end + 3
-                continue
-            if self.text.startswith("<![CDATA[", self.pos):
-                end = self.text.find("]]>", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated CDATA section")
-                buf.append(self.text[self.pos + 9:end])
-                self.pos = end + 3
-                continue
-            if self.text.startswith("<?", self.pos):
-                end = self.text.find("?>", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated processing instruction")
-                self.pos = end + 2
-                continue
+    def start(raw: str, attrs: list[str]) -> None:
+        if chunks:
             flush()
-            element.content.append(self._parse_element(nsmap))
-
-
-def _decode_entities(text: str, parser: _Parser) -> str:
-    if "&" not in text:
-        return text
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i)
-        if end < 0:
-            raise parser.fail("unterminated entity reference")
-        entity = text[i + 1:end]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            out.append(chr(int(entity[2:], 16)))
-        elif entity.startswith("#"):
-            out.append(chr(int(entity[1:])))
-        elif entity in _NAMED_ENTITIES:
-            out.append(_NAMED_ENTITIES[entity])
+        element = new(XmlElement)
+        element.tag = _qname(raw)
+        element.attributes = (
+            {_qname(attrs[i]): attrs[i + 1] for i in range(0, len(attrs), 2)}
+            if attrs else {}
+        )
+        element.content = []
+        if stack:
+            stack[-1].content.append(element)
         else:
-            raise parser.fail(f"unknown entity &{entity};")
-        i = end + 1
-    return "".join(out)
+            roots.append(element)
+        stack.append(element)
 
+    def end(_raw: str) -> None:
+        if chunks:
+            flush()
+        stack.pop()
 
-def parse_xml(text: str) -> XmlElement:
-    """Parse an XML document string into an :class:`XmlElement` tree."""
-    return _Parser(text).parse_document()
+    def doctype(*_decl) -> None:
+        raise XmlParseError(
+            "document type declarations are not accepted",
+            parser.CurrentByteIndex,
+        )
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chunks.append
+    parser.StartDoctypeDeclHandler = doctype
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise XmlParseError(
+            expat.ErrorString(exc.code), parser.ErrorByteIndex
+        ) from None
+    except XmlParseError:
+        raise
+    except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
+        offset = len(text[:exc.start].encode("utf-8"))
+        raise XmlParseError(f"{exc.reason} in text", offset) from None
+    except (ValueError, LookupError) as exc:  # a declared encoding expat lacks
+        raise XmlParseError(str(exc), parser.CurrentByteIndex) from None
+    return roots[0]

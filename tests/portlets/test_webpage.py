@@ -9,12 +9,15 @@ PAGE = """\
 <body><h1>Remote content</h1><p>hello</p></body></html>
 """
 
+DOCTYPE_PAGE = "<!DOCTYPE html>\n" + PAGE
+
 
 @pytest.fixture
 def remote(network):
     server = HttpServer("remote.host", network)
     server.mount("/page", lambda r: HttpResponse(200, {}, PAGE))
     server.mount("/plain", lambda r: HttpResponse(200, {}, "not <xml"))
+    server.mount("/doctype", lambda r: HttpResponse(200, {}, DOCTYPE_PAGE))
     return server
 
 
@@ -35,6 +38,13 @@ def test_render_extracts_body(network, remote):
 def test_non_xml_content_passes_through_raw(network, remote):
     portlet = WebPagePortlet("p", "http://remote.host/plain", network)
     assert portlet.render("/portal") == "not <xml"
+    assert portlet.document is None
+
+
+def test_doctype_page_passes_through_raw(network, remote):
+    # the XML parser refuses a DOCTYPE, so such a page keeps its raw text
+    portlet = WebPagePortlet("p", "http://remote.host/doctype", network)
+    assert portlet.render("/portal") == DOCTYPE_PAGE
     assert portlet.document is None
 
 

@@ -1,8 +1,16 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.soap.encoding import SoapEncodingError, decode_value, encode_value
+from repro.soap.encoding import (
+    SoapEncodingError,
+    decode_member_name,
+    decode_value,
+    encode_member_name,
+    encode_value,
+)
 from repro.xmlutil.element import XmlElement, parse_xml
 
 
@@ -56,10 +64,58 @@ def test_bool_not_confused_with_int():
     assert decode_value(encode_value("p", 1)) == 1
 
 
-# strings that survive XML text content (no control chars, no lone CR)
+@pytest.mark.parametrize(
+    "key,name",
+    [
+        ("jobName", "jobName"),
+        ("a.b-c", "a.b-c"),
+        ("15", "_x0031_5"),
+        ("a b", "a_x0020_b"),
+        ("{urn:x}y", "_x007B_urn_x003A_x_x007D_y"),
+        ("_x", "_x005F_x"),
+        ("_x0031_", "_x005F_x0031_"),
+        ("", "_x_"),
+        ("é", "_x00E9_"),
+        ("\U0001f600", "_x0001F600_"),
+        ("\ud800", "_xD800_"),
+    ],
+)
+def test_member_names(key, name):
+    assert encode_member_name(key) == name
+    assert decode_member_name(name) == key
+
+
+def test_numeric_struct_keys_are_well_formed():
+    # replication's bucket digests are keyed by bucket number
+    wire = encode_value("p", {"15": "d1", "3": "d2"}).serialize()
+    ET.fromstring(wire)
+    assert decode_value(parse_xml(wire)) == {"15": "d1", "3": "d2"}
+
+
+@given(st.dictionaries(st.text(), st.integers(), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_struct_keys_property(struct):
+    wire = encode_value("p", struct).serialize()
+    ET.fromstring(wire)  # any conformant parser accepts the member names
+    assert decode_value(parse_xml(wire)) == struct
+
+
+@pytest.mark.parametrize(
+    "xsd_type,text", [("xsd:int", "twelve"), ("xsd:double", "x"),
+                      ("xsd:base64Binary", "abc")],
+)
+def test_undecodable_text_is_an_encoding_fault(xsd_type, text):
+    node = XmlElement("p", {"{http://www.w3.org/2001/XMLSchema-instance}type":
+                            xsd_type}, text=text)
+    with pytest.raises(SoapEncodingError) as info:
+        decode_value(node)
+    assert info.value.code == "Portal.Encoding"
+
+
+# strings that survive XML text content: every character XML 1.0 can carry
 wire_text = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters="\r",
-                           categories=("L", "N", "P", "S", "Zs")),
+    alphabet=st.characters(codec="utf-8", categories=("L", "N", "P", "S", "Zs"),
+                           include_characters="\r\n\t"),
     max_size=40,
 )
 

@@ -17,6 +17,7 @@ ALL_ERRORS = [
     faults.DataTransferError,
     faults.ContextError,
     faults.SchemaError,
+    faults.EncodingError,
     faults.DiscoveryError,
     faults.BudgetViolationError,
     faults.DeadlineExceededError,

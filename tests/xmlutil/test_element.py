@@ -1,6 +1,6 @@
 import pytest
 
-from repro.xmlutil.element import XmlElement, XmlParseError, parse_xml
+from repro.xmlutil.element import XmlCharError, XmlElement, XmlParseError, parse_xml
 from repro.xmlutil.qname import QName
 
 
@@ -60,9 +60,44 @@ def test_parse_cdata_and_entities():
     assert doc.text == "<raw> & stuff &AB"
 
 
-def test_parse_doctype_skipped():
-    doc = parse_xml('<!DOCTYPE html><root/>')
-    assert doc.tag.local == "root"
+def test_parse_doctype_rejected():
+    # no portal document needs a DTD; refusing one closes off entity
+    # expansion and external entities in one rule
+    with pytest.raises(XmlParseError) as info:
+        parse_xml('<!DOCTYPE html><root/>')
+    assert "document type" in str(info.value)
+
+
+def test_parse_error_offset_is_a_byte_index():
+    # "é" is two bytes in UTF-8: the mismatched name "b" sits at byte 7,
+    # character 6
+    with pytest.raises(XmlParseError) as info:
+        parse_xml("<a>é</b>")
+    assert info.value.pos == 7
+
+
+def test_parse_merges_adjacent_text_cdata_and_references():
+    doc = parse_xml("<t>a<!-- c -->b<![CDATA[c]]>&#100;<?pi x?>e<u/>f</t>")
+    assert doc.content[0] == "abcde"
+    assert doc.content[2] == "f"
+
+
+def test_serialize_escapes_what_parsers_normalize():
+    el = XmlElement("t", {"a": "1\r\n2\t3"}, text="x\r\ny")
+    text = el.serialize()
+    assert 'a="1&#13;&#10;2&#9;3"' in text
+    assert "x&#13;\ny" in text
+    back = parse_xml(text)
+    assert back.get("a") == "1\r\n2\t3" and back.text == "x\r\ny"
+
+
+@pytest.mark.parametrize("bad", ["\x00", "\x08", "\x1f", "\ud800", "\ufffe", "\uffff"])
+def test_serialize_rejects_non_xml_characters(bad):
+    with pytest.raises(XmlCharError) as info:
+        XmlElement("t", text=f"ok{bad}").serialize()
+    assert info.value.code == "Portal.Encoding"
+    with pytest.raises(XmlCharError):
+        XmlElement("t", {"a": bad}).serialize()
 
 
 @pytest.mark.parametrize(
@@ -77,6 +112,13 @@ def test_parse_doctype_skipped():
         "<a>&unknown;</a>",
         "no xml here",
         "<a ><b></a></b>",
+        "<p:a/>",
+        "<a>\x08</a>",
+        "<a>&#8;</a>",
+        "<a>\ud800</a>",
+        b"<a>\xc3\x28</a>",
+        b'<?xml version="1.0" encoding="no-such-codec"?><a/>',
+        '<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>',
     ],
 )
 def test_parse_errors(bad):

@@ -15,11 +15,13 @@ names = st.text(
     lambda s: (s[0].isalpha() or s[0] == "_") and s != "xmlns"
 )
 
-# text content excluding the \r (XML parsers normalize CR) but including
-# markup-significant characters that must be escaped
+# text content including the markup-significant characters that must be
+# escaped and the whitespace XML parsers normalize unless escaped
 texts = st.text(
     alphabet=st.characters(
-        codec="utf-8", exclude_characters="\r", categories=("L", "N", "P", "S", "Zs")
+        codec="utf-8",
+        categories=("L", "N", "P", "S", "Zs"),
+        include_characters="\r\n\t",
     ),
     max_size=30,
 )
