@@ -51,36 +51,14 @@ class TraceCollector:
     def __init__(self, capacity: int = 0):
         self.capacity = int(capacity)
         self._spans: list[dict[str, Any]] = []
-        # finished Span objects handed over by a tracer or sampler, not yet
-        # rendered as dicts (see add)
-        self._recorded: list = []
         self.trace_evictions = 0
         self.spans_evicted = 0
         #: called with this collector after each eviction pass (the
         #: runtime wires eviction gauges through it)
         self.on_evict = None
-        #: called before every read: the tracer feeding this collector
-        #: hands over the spans it has queued (see
-        #: :meth:`~repro.observability.tracer.Tracer.drain`)
-        self.sync = None
         _CREATED.append(self)
 
     def export(self, span: dict[str, Any]) -> None:
-        """Store one span dict (a remote report, a test fixture)."""
-        self._current()  # spans recorded before it come first
-        self._store(span)
-
-    def add(self, spans: list) -> None:
-        """Accept finished :class:`~repro.observability.tracer.Span`
-        objects in finish order.
-
-        Their dict form is rendered when the collector is next read, so a
-        span recorded but never read never pays for it.  Eviction, and
-        with it the eviction counters, happens at that rendering.
-        """
-        self._recorded.extend(spans)
-
-    def _store(self, span: dict[str, Any]) -> None:
         self._spans.append(span)
         if self.capacity and len(self._spans) > self.capacity:
             self._evict(span["trace_id"])
@@ -101,28 +79,19 @@ class TraceCollector:
         if evicted and self.on_evict is not None:
             self.on_evict(self)
 
-    def _current(self) -> list[dict[str, Any]]:
-        if self.sync is not None:
-            self.sync()
-        if self._recorded:
-            recorded, self._recorded = self._recorded, []
-            for span in recorded:
-                self._store(span.to_dict())
-        return self._spans
-
     def __len__(self) -> int:
-        return len(self._current())
+        return len(self._spans)
 
     def spans(self, trace_id: str = "") -> list[dict[str, Any]]:
         """All spans, or those of one trace, in finish order."""
         if not trace_id:
-            return list(self._current())
-        return [s for s in self._current() if s["trace_id"] == trace_id]
+            return list(self._spans)
+        return [s for s in self._spans if s["trace_id"] == trace_id]
 
     def trace_ids(self) -> list[str]:
         """Distinct trace ids in first-seen order."""
         seen: dict[str, None] = {}
-        for span in self._current():
+        for span in self._spans:
             seen.setdefault(span["trace_id"], None)
         return list(seen)
 
@@ -183,7 +152,7 @@ class TraceCollector:
     def to_json(self) -> str:
         """Deterministic JSON-lines export: one span per line, sorted keys."""
         return "\n".join(
-            json.dumps(span, sort_keys=True) for span in self._current()
+            json.dumps(span, sort_keys=True) for span in self._spans
         )
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 from repro.headers import register_header
 from repro.xmlutil.element import XmlElement
@@ -174,25 +173,12 @@ class IdGenerator:
     probability 2**-64.
     """
 
-    #: ids minted per draw from the generator
-    BATCH = 1024
-
     def __init__(self, seed: int = 0):
         self.seed = seed
-        bits = random.Random(seed).getrandbits
+        self._bits = random.Random(seed).getrandbits
 
-        def minter(width: int):
-            digits = width * self.BATCH
-            layout = f"%0{digits}x"
+    def trace_id(self) -> str:
+        return self._bits(128).to_bytes(16, "big").hex()
 
-            def batch(_) -> list[str]:
-                block = layout % bits(4 * digits)
-                return [block[i:i + width] for i in range(0, digits, width)]
-
-            # a traced SOAP call mints one trace id and three span ids;
-            # formatting a batch at once and handing ids out through a
-            # C-level iterator keeps that off the per-call path
-            return chain.from_iterable(map(batch, repeat(None))).__next__
-
-        self.trace_id = minter(32)
-        self.span_id = minter(16)
+    def span_id(self) -> str:
+        return self._bits(64).to_bytes(8, "big").hex()

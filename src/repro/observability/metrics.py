@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Any
 
 #: histogram bucket upper bounds, seconds: 1ms .. ~524s, doubling
@@ -123,10 +122,13 @@ class QuantileSketch:
         """Upper-bound estimate of the *q* quantile (0 < q <= 1)."""
         if not self.count:
             return 0.0
-        # the first bucket whose running total reaches the rank is never
-        # empty (rank > 0), so a C-level bisect over the totals finds it
-        i = bisect_left(list(accumulate(self.counts)), q * self.count)
-        return self.MIN * 2 ** (min(i, self.BUCKETS) / self.STEPS_PER_DOUBLING)
+        rank = q * self.count
+        seen = 0
+        for i, n in enumerate(self.counts):
+            seen += n
+            if seen >= rank and n:
+                return self.MIN * 2 ** (i / self.STEPS_PER_DOUBLING)
+        return self.MIN * 2 ** (self.BUCKETS / self.STEPS_PER_DOUBLING)
 
     def to_dict(self) -> dict[str, Any]:
         return {"count": self.count, "counts": list(self.counts)}

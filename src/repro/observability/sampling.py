@@ -33,6 +33,7 @@ and must not head-sample it away.
 from __future__ import annotations
 
 from typing import Any, Iterable
+from zlib import crc32
 
 from repro.headers import register_header
 from repro.observability.context import _RawHeader
@@ -205,34 +206,29 @@ class LatencyOutlierPolicy(SamplingPolicy):
         return True if keep else None
 
 
-_M64 = 0xFFFFFFFFFFFFFFFF
-_GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, odd
-_TWO_TO_MINUS_53 = 1.0 / (1 << 53)
+_M32 = 0xFFFFFFFF
+_TWO_TO_MINUS_32 = 1.0 / (1 << 32)
 
 
 class ProbabilisticPolicy(SamplingPolicy):
     """Keep a seeded, deterministic fraction of the remaining traces.
 
-    The coin is a multiplicative (Fibonacci) hash of the trace id's
-    leading 64 bits xored with the seed — no ``random`` module, no
-    per-process state — so the same seed keeps the same trace set on
-    every run, and the decision is reproducible from the trace id alone.
-    Minted ids are already uniform; the golden-ratio multiplier spreads
-    sequential or hand-written ids evenly too.
+    The coin is the CRC-32 of the trace id seeded with the sampler's
+    seed — no ``random`` module, no per-process state, no parsing — so
+    the same seed keeps the same trace set on every run, and the decision
+    is reproducible from the trace id alone.  Minted ids are uniform, so
+    their checksums are too.
     """
 
     name = "probabilistic"
 
     def __init__(self, rate: float = 0.05, seed: int = 0):
         self.rate = rate
-        self.seed = seed & _M64
+        self.seed = seed & _M32
 
     def _coin(self, trace_id: str) -> float:
-        try:
-            key = int(trace_id[:16] or "0", 16)
-        except ValueError:
-            key = sum(ord(ch) for ch in trace_id)
-        return ((((key ^ self.seed) * _GOLDEN) & _M64) >> 11) * _TWO_TO_MINUS_53
+        data = trace_id.encode("utf-8", "surrogatepass")
+        return crc32(data, self.seed) * _TWO_TO_MINUS_32
 
     def decide(self, trace: TraceBuffer) -> bool | None:
         if self.rate >= 1.0:
@@ -258,45 +254,18 @@ def default_policies(
     ]
 
 
-class _Settled:
-    """A sampler tally read only after the feeding tracer has handed over
-    every span it has queued, so its batching is invisible here."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.slot = "_" + name
-
-    def __get__(self, sampler, owner=None):
-        if sampler is None:
-            return self
-        sampler._settle()
-        return getattr(sampler, self.slot)
-
-
 class TailSampler:
     """Buffers whole traces and applies the policy chain at completion.
 
     Sits between :class:`~repro.observability.tracer.Tracer` and
     :class:`~repro.observability.collector.TraceCollector`: finished spans
-    are *offered* here, and only kept traces reach the collector —
-    dropped traces never pay the dict cost at all.  Spans
+    are *offered* here, and only kept traces are materialized (``to_dict``)
+    and exported — dropped traces never pay the dict cost at all.  Spans
     of one trace export contiguously in finish order, so same-seed runs
     stay byte-identical.
-
-    A :class:`~repro.observability.tracer.Tracer` hands spans over in
-    batches; ``sync`` (set by the tracer) delivers its queue, and every
-    read — the tallies below, :meth:`accounting`, :meth:`flush` — calls it
-    first, so what anyone observes is what deciding each trace the moment
-    its root ended would show.
     """
 
     mode = "tail"
-
-    kept_traces = _Settled()
-    dropped_traces = _Settled()
-    kept_spans = _Settled()
-    dropped_spans = _Settled()
-    overflow_decisions = _Settled()
-    kept_by_policy = _Settled()
 
     def __init__(
         self,
@@ -319,19 +288,16 @@ class TailSampler:
             )
         )
         self.max_buffered_traces = max_buffered_traces
-        #: the export target, bound by the runtime: a
-        #: :class:`~repro.observability.collector.TraceCollector` (anything
-        #: with ``add(spans)``)
+        #: the export target; bound by the runtime (anything with
+        #: ``export(span_dict)``)
         self.collector = None
-        #: called before every read (see the class docs)
-        self.sync = None
         self._buffers: dict[str, TraceBuffer] = {}
-        self._kept_traces = 0
-        self._dropped_traces = 0
-        self._kept_spans = 0
-        self._dropped_spans = 0
-        self._overflow_decisions = 0
-        self._kept_by_policy: dict[str, int] = {}
+        self.kept_traces = 0
+        self.dropped_traces = 0
+        self.kept_spans = 0
+        self.dropped_spans = 0
+        self.overflow_decisions = 0
+        self.kept_by_policy: dict[str, int] = {}
         #: sampling modes seen on inbound requests (the header consumer's
         #: tally — lets operators spot mixed-mode deployments)
         self.inbound_modes: dict[str, int] = {}
@@ -354,10 +320,6 @@ class TailSampler:
             del self._buffers[span.trace_id]
             self._decide(buf)
 
-    def _settle(self) -> None:
-        if self.sync is not None:
-            self.sync()
-
     def note_inbound(self, mode: str) -> None:
         """Tally a sampling-mode header seen on an inbound request."""
         self.inbound_modes[mode] = self.inbound_modes.get(mode, 0) + 1
@@ -371,7 +333,7 @@ class TailSampler:
         buf = self._buffers.pop(trace_id)
         if buf.root is None and buf.spans:
             buf.root = buf.spans[0]
-        self._overflow_decisions += 1
+        self.overflow_decisions += 1
         self._decide(buf)
 
     def _decide(self, buf: TraceBuffer) -> None:
@@ -379,17 +341,18 @@ class TailSampler:
             if policy.decide(buf):
                 self._keep(buf, policy.name)
                 return
-        self._dropped_traces += 1
-        self._dropped_spans += len(buf.spans)
+        self.dropped_traces += 1
+        self.dropped_spans += len(buf.spans)
 
     def _keep(self, buf: TraceBuffer, policy_name: str) -> None:
-        self._kept_traces += 1
-        self._kept_spans += len(buf.spans)
-        self._kept_by_policy[policy_name] = (
-            self._kept_by_policy.get(policy_name, 0) + 1
+        self.kept_traces += 1
+        self.kept_spans += len(buf.spans)
+        self.kept_by_policy[policy_name] = (
+            self.kept_by_policy.get(policy_name, 0) + 1
         )
         if self.collector is not None:
-            self.collector.add(buf.spans)
+            for span in buf.spans:
+                self.collector.export(span.to_dict())
 
     def flush(self) -> None:
         """Decide every still-buffered trace (end of run / uninstall).
@@ -397,7 +360,6 @@ class TailSampler:
         Incomplete traces — roots abandoned by crashes — go through the
         same chain, with the first buffered span standing in as root.
         """
-        self._settle()
         for trace_id in list(self._buffers):
             buf = self._buffers.pop(trace_id)
             if buf.root is None and buf.spans:
@@ -408,7 +370,6 @@ class TailSampler:
 
     @property
     def buffered_traces(self) -> int:
-        self._settle()
         return len(self._buffers)
 
     def accounting(self) -> dict[str, Any]:
@@ -427,8 +388,8 @@ class TailSampler:
             "buffered_traces": self.buffered_traces,
             "overflow_decisions": self.overflow_decisions,
             "kept_by_policy": {
-                name: self._kept_by_policy[name]
-                for name in sorted(self._kept_by_policy)
+                name: self.kept_by_policy[name]
+                for name in sorted(self.kept_by_policy)
             },
             "inbound_modes": {
                 mode: self.inbound_modes[mode]

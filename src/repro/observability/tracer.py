@@ -125,28 +125,18 @@ class Span:
         }
 
 
-_new_span = Span.__new__
-
-
 class Tracer:
     """Mints spans on the sim clock and exports finished ones.
 
-    ``collector`` is a :class:`repro.observability.collector
-    .TraceCollector` (anything with ``add(spans)``); it renders span
-    dicts when read.  With a ``sampler`` attached (:class:`repro
-    .observability.sampling.TailSampler`), finished spans are *offered*
-    instead: the sampler buffers them per trace and hands on only the
-    traces its policy chain keeps.
+    ``collector`` is anything with an ``export(span_dict)`` method — in
+    practice the :class:`repro.observability.collector.TraceCollector`.
 
-    Finished spans are handed over in batches of ``BATCH``, the way
-    a batch span processor works: the per-call path only queues the
-    span, and the sampler's decisions run in one warm loop.  The sinks'
-    ``sync`` hook is this tracer's :meth:`drain`, and they call it before
-    every read, so no reader ever sees the queue.
+    With a ``sampler`` attached (:class:`repro.observability.sampling
+    .TailSampler`), finished spans are *offered* instead of exported:
+    the sampler buffers the raw ``Span`` objects per trace and only
+    materializes the dict form for traces its policy chain keeps — the
+    deferred half of the cheap span hot path.
     """
-
-    #: finished spans handed over per batch
-    BATCH = 512
 
     def __init__(
         self, clock: SimClock, ids: IdGenerator, collector=None, *, sampler=None
@@ -155,11 +145,7 @@ class Tracer:
         self.ids = ids
         self.collector = collector
         self.sampler = sampler
-        for sink in (collector, sampler):
-            if sink is not None:
-                sink.sync = self.drain
         self._stack: list[Span] = []
-        self._finished: list[Span] = []
         # bound fast paths: three spans per SOAP call makes even the
         # attribute-chain lookups (`self.ids.span_id`) per-call cost
         self._trace_id = ids.trace_id
@@ -191,52 +177,27 @@ class Tracer:
             trace_id, parent_id = ambient.trace_id, ambient.span_id
         else:
             trace_id, parent_id = self._trace_id(), ""
-        # Span.__init__ inlined: three spans per traced call make the
-        # constructor's frame and keyword binding measurable
-        span = _new_span(Span)
-        span.trace_id = trace_id
-        span.span_id = self._span_id()
-        span.parent_id = parent_id
-        span.name = name
-        span.kind = kind
-        span.service = service
-        span.host = host
-        span.start = self.clock.now
-        span.end = 0.0
-        span.error = ""
-        span._attributes = dict(attributes) if attributes else None
-        span._events = None
+        # positional: three spans per traced call make keyword binding
+        # measurable
+        span = Span(
+            trace_id, self._span_id(), parent_id, name, kind, service, host,
+            self.clock.now, 0.0, "", dict(attributes) if attributes else None,
+        )
         self._stack.append(span)
         return span
 
     def end(self, span: Span, *, error: str = "") -> Span:
-        """Close a span and queue it for the sampler or the collector."""
-        stack = self._stack
-        if stack and stack[-1] is span:  # the innermost-first common case
-            stack.pop()
-        else:
-            self._pop(span)
+        """Close a span and hand it off — to the tail sampler when one is
+        attached, else straight to the collector."""
+        self._pop(span)
         span.end = self.clock.now
         span.error = error
-        finished = self._finished
-        finished.append(span)
-        if len(finished) >= self.BATCH:
-            self.drain()
-        return span
-
-    def drain(self) -> None:
-        """Hand every queued span, in finish order, to the tail sampler
-        when one is attached, else straight to the collector."""
-        finished = self._finished
-        if not finished:
-            return
-        self._finished = []
-        if self.sampler is not None:
-            offer = self.sampler.offer
-            for span in finished:
-                offer(span)
+        sampler = self.sampler
+        if sampler is not None:
+            sampler.offer(span)
         elif self.collector is not None:
-            self.collector.add(finished)
+            self.collector.export(span.to_dict())
+        return span
 
     def abandon(self, span: Span) -> None:
         """Drop a span without exporting — the recording process crashed

@@ -35,8 +35,7 @@ _MARKUP_ATTR = _MARKUP_TEXT + (('"', "&quot;"),)
 # whitespace a parser would normalize away unless it arrives as a reference
 _SPACES_TEXT = (("\r", "&#13;"),)
 _SPACES_ATTR = (("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#9;"))
-#: C0 controls outside XML 1.0 ``Char`` (tab, LF and CR are allowed)
-_C0_NON_CHARS = bytes(c for c in range(32) if c not in (9, 10, 13))
+#: one character outside XML 1.0 ``Char`` (tab, LF and CR are allowed)
 _NON_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
@@ -61,22 +60,11 @@ class XmlCharError(EncodingError):
 
 
 def _check_chars(text: str) -> None:
-    """Raise :class:`XmlCharError` unless *text* is all XML 1.0 ``Char``
-    (a byte scan: the per-character regex is only for the message)."""
-    try:
-        data = text.encode("utf-8")
-        legal = (
-            len(data.translate(None, _C0_NON_CHARS)) == len(data)
-            and "\ufffe" not in text
-            and "\uffff" not in text
-        )
-    except UnicodeEncodeError:  # a lone surrogate
-        legal = False
-    if not legal:
-        bad = _NON_CHAR.search(text)
-        char = bad.group() if bad else ""
+    """Raise :class:`XmlCharError` unless *text* is all XML 1.0 ``Char``."""
+    bad = _NON_CHAR.search(text)
+    if bad:
         raise XmlCharError(
-            f"character U+{ord(char):04X} is not allowed in XML 1.0"
+            f"character U+{ord(bad.group()):04X} is not allowed in XML 1.0"
         )
 
 

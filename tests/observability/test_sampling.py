@@ -91,7 +91,7 @@ class TestPolicyChain:
         a = ProbabilisticPolicy(rate=0.3, seed=9)
         b = ProbabilisticPolicy(rate=0.3, seed=9)
         other = ProbabilisticPolicy(rate=0.3, seed=10)
-        # the coin hashes the leading 16 hex chars, so vary those
+        # sequential ids: the coin must still spread them
         ids = [f"{i:016x}" + "0" * 16 for i in range(400)]
         decisions_a = [a._coin(tid) < 0.3 for tid in ids]
         decisions_b = [b._coin(tid) < 0.3 for tid in ids]
