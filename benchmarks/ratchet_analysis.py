@@ -1,11 +1,21 @@
 """CI ratchet for the analysis-speed benchmark.
 
 Compares a fresh ``BENCH_analysis.json`` against the committed baseline
-and fails (exit 1) when the warm-cache speedup regressed more than the
-tolerance.  The compared figure is the *speedup ratio* — cold seconds
-over warm seconds — because absolute timings differ machine to machine
-while the ratio is the property the incremental cache actually guards:
-a warm run must skip the checkers, not merely run them faster.
+and fails (exit 1) when either analyzer path got slower, in units of
+parsing, by more than the tolerance:
+
+- ``cold_over_parse`` — a cold run's seconds over the median seconds to
+  ``ast.parse`` the same tree in the same process;
+- ``warm_over_parse`` — a warm (cache-hit) run's seconds over the same
+  parse time.
+
+Both are lower-is-better and divide out the host's speed, so each rises
+only when its own path does more work: a faster cold run cannot fail
+the ratchet, and a slower one cannot hide behind a larger cold/warm
+ratio.  A baseline that lacks a gated figure fails, because nothing
+could be compared.  The warm-cache speedup keeps its hard floor
+(``min_warm_speedup``): a warm run must skip the checkers, not merely
+run them faster.
 
 Usage::
 
@@ -18,26 +28,34 @@ import json
 import sys
 from pathlib import Path
 
-#: a regression is a warm-cache speedup more than 25% below baseline
+#: a regression is a gated figure more than 25% above its baseline
 TOLERANCE = 1.25
+
+#: lower-is-better figures gated against the baseline
+GATED = ("cold_over_parse", "warm_over_parse")
 
 
 def compare(
     baseline: dict, current: dict, tolerance: float = TOLERANCE
 ) -> list[str]:
     """Regression messages, empty when the ratchet holds."""
-    base = baseline["warm_speedup"]
-    cur = current["warm_speedup"]
     failures = []
-    if base > 0 and cur < base / tolerance:
-        failures.append(
-            f"warm-cache speedup regressed: {cur:.2f}x vs {base:.2f}x at "
-            f"baseline (tolerance: within {tolerance:g}x of baseline)"
-        )
+    for key in GATED:
+        if key not in baseline or key not in current:
+            where = "baseline" if key not in baseline else "current run"
+            failures.append(f"{key} missing from the {where}: nothing to gate")
+            continue
+        base, cur = baseline[key], current[key]
+        if cur > base * tolerance:
+            failures.append(
+                f"{key} regressed: {cur:g} vs {base:g} at baseline "
+                f"(tolerance: within {tolerance:g}x of baseline)"
+            )
+    speedup = current.get("warm_speedup", 0)
     floor = current.get("min_warm_speedup", 0)
-    if cur < floor:
+    if speedup < floor:
         failures.append(
-            f"warm-cache speedup {cur:.2f}x is below the hard floor "
+            f"warm-cache speedup {speedup:.2f}x is below the hard floor "
             f"{floor:g}x — the fast path is no longer skipping the checkers"
         )
     return failures
@@ -54,9 +72,12 @@ def main(argv: list[str]) -> int:
         print(f"RATCHET FAIL: {line}", file=sys.stderr)
     if not failures:
         print(
-            f"ratchet holds: warm cache {current['warm_speedup']:.2f}x "
-            f"faster than cold (baseline {baseline['warm_speedup']:.2f}x, "
-            f"tolerance {TOLERANCE:g}x)"
+            "ratchet holds: "
+            + ", ".join(
+                f"{key} {current[key]:g} (baseline {baseline[key]:g})"
+                for key in GATED
+            )
+            + f", tolerance {TOLERANCE:g}x"
         )
     return 1 if failures else 0
 

@@ -11,10 +11,76 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
+
+#: the nodes whose subtree the index can hand out as one slice
+SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def import_aliases(tree: ast.Module) -> dict[str, str]:
+class AstIndex:
+    """One module's AST flattened in a single pass, for every scope walk.
+
+    ``nodes`` holds the module's nodes in preorder, so a scope node's
+    subtree is one contiguous run of it: walking a module, class or
+    function is a slice of ``nodes`` instead of a fresh ``ast.walk``.
+    Only scope nodes (:data:`SCOPES`) get a ``(start, end)`` span — a span
+    per node would cost a tuple for every node of every module, for
+    expression walks that stay cheap with ``ast.walk``.  ``functions``
+    (sync and async) and ``classes`` list those scopes in preorder, i.e.
+    source order.
+
+    Read it through :attr:`SourceModule.index
+    <repro.analysis.core.SourceModule.index>`, which builds it on first
+    use and drops it with the module at the end of the run.
+    """
+
+    __slots__ = ("nodes", "functions", "classes", "_spans", "__weakref__")
+
+    def __init__(self, tree: ast.Module):
+        nodes: list[ast.AST] = []
+        spans: dict[ast.AST, tuple[int, int]] = {}
+        functions: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
+        classes: list[ast.ClassDef] = []
+        # a (scope, start) tuple on the stack closes that scope's span
+        # once every node under it has been emitted
+        stack: list = [tree]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is tuple:
+                scope, start = node
+                spans[scope] = (start, len(nodes))
+                continue
+            if isinstance(node, SCOPES):
+                stack.append((node, len(nodes)))
+                if isinstance(node, FUNCTIONS):
+                    functions.append(node)
+                elif isinstance(node, ast.ClassDef):
+                    classes.append(node)
+            nodes.append(node)
+            # ast.iter_child_nodes, inlined: it is most of the pass's cost
+            children = []
+            for name in node._fields:
+                value = getattr(node, name, None)
+                if isinstance(value, ast.AST):
+                    children.append(value)
+                elif isinstance(value, list):
+                    children.extend(v for v in value if isinstance(v, ast.AST))
+            children.reverse()
+            stack.extend(children)
+        self.nodes = nodes
+        self.functions = functions
+        self.classes = classes
+        self._spans = spans
+
+    def walk(self, scope: ast.AST) -> list[ast.AST]:
+        """*scope* and every node under it, in preorder: the nodes
+        ``ast.walk(scope)`` yields.  *scope* must be a :data:`SCOPES` node
+        of this module."""
+        start, end = self._spans[scope]
+        return self.nodes[start:end]
+
+
+def import_aliases(index: AstIndex) -> dict[str, str]:
     """Map local names to the dotted origin they were imported as.
 
     ``import time as t`` -> ``{"t": "time"}``;
@@ -22,7 +88,7 @@ def import_aliases(tree: ast.Module) -> dict[str, str]:
     Function-local imports count too (the codebase imports lazily a lot).
     """
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in index.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 aliases[alias.asname or alias.name.split(".")[0]] = (
@@ -144,7 +210,7 @@ class Exposure:
     line: int = 0
 
 
-def _local_bindings(func: ast.FunctionDef) -> dict[str, str]:
+def _local_bindings(func: ast.FunctionDef, index: AstIndex) -> dict[str, str]:
     """``name = ClassName(...)`` bindings plus annotated parameters, giving
     a local variable -> class-name map for exposure resolution."""
     bindings: dict[str, str] = {}
@@ -155,7 +221,7 @@ def _local_bindings(func: ast.FunctionDef) -> dict[str, str]:
                 name = dotted_name(ann).split(".")[-1]
                 if name:
                     bindings[arg.arg] = name
-    for node in ast.walk(func):
+    for node in index.walk(func):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             target_cls = dotted_name(node.value.func).split(".")[-1]
             if not target_cls or not target_cls[0].isupper():
@@ -166,8 +232,8 @@ def _local_bindings(func: ast.FunctionDef) -> dict[str, str]:
     return bindings
 
 
-def find_exposures(tree: ast.Module) -> list[Exposure]:
-    """Every SOAP exposure in the module.
+def find_exposures(index: AstIndex) -> list[Exposure]:
+    """Every SOAP exposure in the module, inside sync or async functions.
 
     Recognizes the house idioms::
 
@@ -179,9 +245,9 @@ def find_exposures(tree: ast.Module) -> list[Exposure]:
     Returns one :class:`Exposure` per receiver class, methods merged.
     """
     by_class: dict[str, Exposure] = {}
-    for func in [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
-        bindings = _local_bindings(func)
-        for node in ast.walk(func):
+    for func in index.functions:
+        bindings = _local_bindings(func, index)
+        for node in index.walk(func):
             if not isinstance(node, ast.Call):
                 continue
             if not isinstance(node.func, ast.Attribute):
@@ -218,9 +284,3 @@ def find_exposures(tree: ast.Module) -> list[Exposure]:
                 )
                 exp.expose_all = True
     return [by_class[name] for name in sorted(by_class)]
-
-
-def iter_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            yield node

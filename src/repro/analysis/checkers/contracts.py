@@ -31,6 +31,7 @@ from repro.analysis.core import (
     Checker,
     Finding,
     Project,
+    SourceModule,
     register_checker,
 )
 
@@ -158,7 +159,7 @@ class ContractDriftChecker(Checker):
 
     def _check_interface_wsdl(self, project: Project) -> Iterable[Finding]:
         for module in project.parsed():
-            declared = self._declared_operations(module.tree)
+            declared = self._declared_operations(module)
             if not declared:
                 continue
             for node in module.tree.body:
@@ -203,16 +204,16 @@ class ContractDriftChecker(Checker):
                     )
 
     @staticmethod
-    def _declared_operations(tree: ast.Module) -> dict[str, int]:
+    def _declared_operations(module: SourceModule) -> dict[str, int]:
         """Operation name -> declared input-part count, from WsdlOperation
         literals inside ``*_interface_wsdl`` factory functions."""
         declared: dict[str, int] = {}
-        for func in tree.body:
+        for func in module.tree.body:
             if not isinstance(func, ast.FunctionDef):
                 continue
             if not func.name.endswith(INTERFACE_FACTORY_SUFFIX):
                 continue
-            for node in ast.walk(func):
+            for node in module.index.walk(func):
                 if not isinstance(node, ast.Call):
                     continue
                 callee = dotted_name(node.func).split(".")[-1]

@@ -80,7 +80,7 @@ class DeterminismChecker(Checker):
 
     def _check_module(self, module: SourceModule) -> Iterable[Finding]:
         aliases = module.aliases
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node, aliases)
             elif isinstance(node, (ast.For, ast.AsyncFor)):

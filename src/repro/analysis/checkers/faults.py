@@ -174,7 +174,7 @@ class FaultTaxonomyChecker(Checker):
         fault_imports: set[str],
     ) -> Iterable[Finding]:
         symbol = f"{cls_name}.{func.name}" if cls_name else func.name
-        for node in ast.walk(func):
+        for node in module.index.walk(func):
             if not isinstance(node, ast.Raise):
                 continue
             verdict = self._raise_target(

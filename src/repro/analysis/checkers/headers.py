@@ -84,20 +84,14 @@ class HeaderDisciplineChecker(Checker):
             if not mod or modules.modules.get(mod) != module.rel:
                 continue
             imports = symbols.imports.get(mod, {})
-            for token in self._tokens_passed_to(module.tree, REGISTER_FUNCS):
-                key = self._resolve_token(mod, token, decls, imports, modules)
-                if key is not None:
-                    registered.add(key)
-            for token in self._tokens_passed_to(
-                module.tree, ELEMENT_CONSTRUCTORS
-            ):
-                key = self._resolve_token(mod, token, decls, imports, modules)
-                if key is not None:
-                    encoded.add(key)
-            for token in self._tokens_compared(module.tree):
-                key = self._resolve_token(mod, token, decls, imports, modules)
-                if key is not None:
-                    consumed.add(key)
+            uses = self._use_sites(module.index.nodes)
+            for found, tokens in zip((registered, encoded, consumed), uses):
+                for token in tokens:
+                    key = self._resolve_token(
+                        mod, token, decls, imports, modules
+                    )
+                    if key is not None:
+                        found.add(key)
 
         for mod, name in sorted(decls):
             module, node = decls[(mod, name)]
@@ -204,33 +198,32 @@ class HeaderDisciplineChecker(Checker):
         return out
 
     @staticmethod
-    def _tokens_passed_to(tree: ast.Module, funcs: set[str]) -> set[str]:
-        """Dotted tokens appearing as arguments to calls of *funcs*."""
-        found: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+    def _use_sites(nodes: list[ast.AST]) -> tuple[set[str], set[str], set[str]]:
+        """Dotted tokens passed to ``register_header`` calls, passed to
+        element constructors, and on either side of an ``==``/``!=``
+        comparison (the decode idiom: ``entry.tag == X_HEADER``)."""
+        registered: set[str] = set()
+        encoded: set[str] = set()
+        compared: set[str] = set()
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                callee = dotted_name(node.func).split(".")[-1]
+                if callee in REGISTER_FUNCS:
+                    found = registered
+                elif callee in ELEMENT_CONSTRUCTORS:
+                    found = encoded
+                else:
+                    continue
+                operands = list(node.args) + [kw.value for kw in node.keywords]
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+            ):
+                found = compared
+                operands = [node.left, *node.comparators]
+            else:
                 continue
-            callee = dotted_name(node.func).split(".")[-1]
-            if callee not in funcs:
-                continue
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                token = dotted_name(arg)
+            for operand in operands:
+                token = dotted_name(operand)
                 if token:
                     found.add(token)
-        return found
-
-    @staticmethod
-    def _tokens_compared(tree: ast.Module) -> set[str]:
-        """Dotted tokens on either side of an ``==``/``!=`` comparison
-        (the decode idiom: ``entry.tag == X_HEADER``)."""
-        found: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                continue
-            for side in [node.left, *node.comparators]:
-                token = dotted_name(side)
-                if token:
-                    found.add(token)
-        return found
+        return registered, encoded, compared

@@ -25,7 +25,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.astutil import dotted_name, iter_functions
+from repro.analysis.astutil import dotted_name
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -81,11 +81,11 @@ class ResourceHygieneChecker(Checker):
 
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.parsed():
-            for func in iter_functions(module.tree):
+            for func in module.index.functions:
                 yield from self._check_function(module, func)
 
     def _check_function(
-        self, module: SourceModule, func: ast.FunctionDef
+        self, module: SourceModule, func: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterable[Finding]:
         acquired: dict[str, _Acquired] = {}
         dropped: list[tuple[ast.AST, str]] = []

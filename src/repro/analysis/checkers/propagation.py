@@ -155,10 +155,9 @@ class PropagationChecker(Checker):
             module = by_module.get(node.module)
             if module is None:
                 continue
-            func = calls.funcs[node_id]
             symbol = f"{node.cls}.{node.name}" if node.cls else node.name
             for raise_node in (
-                n for n in ast.walk(func) if isinstance(n, ast.Raise)
+                n for n in calls.walk(node_id) if isinstance(n, ast.Raise)
             ):
                 verdict = self._raise_verdict(
                     calls.symbols, node.module, raise_node, portal, portal_names
@@ -216,11 +215,11 @@ class PropagationChecker(Checker):
             module = by_module.get(node.module)
             if module is None:
                 continue
-            func = calls.funcs[node_id]
+            nodes = calls.walk(node_id)
             symbol = f"{node.cls}.{node.name}" if node.cls else node.name
             exempt = node.module.startswith(EGRESS_EXEMPT_PREFIXES)
-            threads_deadline = _references_any(func, DEADLINE_THREADERS)
-            for call in (n for n in ast.walk(func) if isinstance(n, ast.Call)):
+            threads_deadline = _references_any(nodes, DEADLINE_THREADERS)
+            for call in (n for n in nodes if isinstance(n, ast.Call)):
                 if self._is_untraced_client(symbols, node.module, call):
                     yield module.finding(
                         "REP902",
@@ -289,8 +288,8 @@ class PropagationChecker(Checker):
         return tail in {"http", "_http"}
 
 
-def _references_any(func, names: set[str]) -> bool:
-    for node in ast.walk(func):
+def _references_any(nodes, names: set[str]) -> bool:
+    for node in nodes:
         if isinstance(node, ast.Name) and node.id in names:
             return True
         if isinstance(node, ast.Attribute) and node.attr in names:
@@ -476,7 +475,9 @@ class _TaintAnalysis:
         func = self.calls.funcs[node_id]
         params = self._params(func)
         param_sinks: set[int] = set()
-        for call in (n for n in ast.walk(func) if isinstance(n, ast.Call)):
+        for call in (
+            n for n in self.calls.walk(node_id) if isinstance(n, ast.Call)
+        ):
             sink = _sink_of(call, self.calls.symbols, node.module)
             callee = self._callee_summary(node_id, call, summaries)
             indirect = (
@@ -501,8 +502,9 @@ class _TaintAnalysis:
         evaluated against the settled summaries."""
         taint_of, _returns = self._taint_env(node_id, self.summaries)
         node = self.calls.nodes[node_id]
-        func = self.calls.funcs[node_id]
-        for call in (n for n in ast.walk(func) if isinstance(n, ast.Call)):
+        for call in (
+            n for n in self.calls.walk(node_id) if isinstance(n, ast.Call)
+        ):
             exprs = list(call.args) + [kw.value for kw in call.keywords]
             sink = _sink_of(call, self.calls.symbols, node.module)
             if sink is not None:
@@ -583,7 +585,7 @@ class _OwnershipAnalysis:
         params = self._params(func)
         returns_kind = ""
         acquired_vars: dict[str, str] = {}
-        for stmt in ast.walk(func):
+        for stmt in self.calls.walk(node_id):
             if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
                 kind = self._acquire_kind(node_id, stmt.value, summaries)
                 if kind is not None:
@@ -599,10 +601,15 @@ class _OwnershipAnalysis:
                     kind = acquired_vars.get(stmt.value.id)
                     if kind:
                         returns_kind = kind
+        # a parameter no release call names has no release context
+        released = {
+            name for n in self.calls.walk(node_id) for name in _released_by(n)
+        }
         releases = frozenset(
             index
             for index, param in enumerate(params)
-            if _crash_safe(_release_contexts(func.body, param, "normal"))
+            if param in released
+            and _crash_safe(_release_contexts(func.body, param, "normal"))
         )
         return _OwnershipSummary(
             returns_kind=returns_kind, releases_params=releases
@@ -611,10 +618,11 @@ class _OwnershipAnalysis:
     def _check_caller(self, node_id: str, module, checker) -> Iterable[Finding]:
         node = self.calls.nodes[node_id]
         func = self.calls.funcs[node_id]
+        nodes = self.calls.walk(node_id)
         symbol = f"{node.cls}.{node.name}" if node.cls else node.name
         # handles acquired *via calls* — REP501 owns direct acquires
         acquired: dict[str, tuple[str, str, ast.stmt]] = {}
-        for stmt in ast.walk(func):
+        for stmt in nodes:
             if not (
                 isinstance(stmt, ast.Assign)
                 and isinstance(stmt.value, ast.Call)
@@ -635,7 +643,7 @@ class _OwnershipAnalysis:
                     ),
                 )
         for var, (kind, origin, stmt) in sorted(acquired.items()):
-            if self._is_transferred(func, var):
+            if self._is_transferred(nodes, var):
                 continue
             contexts = _release_contexts(func.body, var, "normal")
             contexts |= self._delegated_release_contexts(node_id, func, var)
@@ -654,8 +662,8 @@ class _OwnershipAnalysis:
             )
 
     @staticmethod
-    def _is_transferred(func, var: str) -> bool:
-        for stmt in ast.walk(func):
+    def _is_transferred(nodes, var: str) -> bool:
+        for stmt in nodes:
             if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Name):
                 if stmt.value.id == var:
                     return True
@@ -715,25 +723,31 @@ def _crash_safe(contexts: set[str]) -> bool:
     return "finally" in contexts or {"except", "normal"} <= contexts
 
 
+_RELEASE_ATTRS = set(ACQUIRE_RELEASE.values())
+
+
+def _released_by(node) -> list[str]:
+    """The names *node* releases when it is a ``<recv>.end(var)`` /
+    ``<recv>.release(var)`` / ``var.release()`` call."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _RELEASE_ATTRS
+    ):
+        return []
+    names = [a.id for a in node.args if isinstance(a, ast.Name)]
+    if isinstance(node.func.value, ast.Name):
+        names.append(node.func.value.id)
+    return names
+
+
 def _release_contexts(stmts, var: str, context: str) -> set[str]:
-    """Contexts (normal/except/finally) in which *var* is released via
-    ``<recv>.end(var)`` / ``<recv>.release(var)`` / ``var.release()``."""
+    """Contexts (normal/except/finally) in which *var* is released."""
     contexts: set[str] = set()
-    release_attrs = set(ACQUIRE_RELEASE.values())
 
     def scan_expr(node, ctx) -> None:
-        for sub in ast.walk(node):
-            if not (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in release_attrs
-            ):
-                continue
-            candidates = [a for a in sub.args if isinstance(a, ast.Name)]
-            if isinstance(sub.func.value, ast.Name):
-                candidates.append(sub.func.value)
-            if any(c.id == var for c in candidates):
-                contexts.add(ctx)
+        if any(var in _released_by(sub) for sub in ast.walk(node)):
+            contexts.add(ctx)
 
     def visit(body, ctx) -> None:
         for stmt in body:

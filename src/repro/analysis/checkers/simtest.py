@@ -94,7 +94,7 @@ class SimtestOracleChecker(Checker):
         self, module: SourceModule, cls: ast.ClassDef
     ) -> Iterable[Finding]:
         aliases = module.aliases
-        for node in ast.walk(cls):
+        for node in module.index.walk(cls):
             if not isinstance(node, ast.Call):
                 continue
             path = resolve_call_path(node.func, aliases)

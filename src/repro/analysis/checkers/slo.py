@@ -68,7 +68,7 @@ class SloSamplingChecker(Checker):
         self, module: SourceModule, cls: ast.ClassDef
     ) -> Iterable[Finding]:
         aliases = module.aliases
-        for node in ast.walk(cls):
+        for node in module.index.walk(cls):
             if not isinstance(node, ast.Call):
                 continue
             path = resolve_call_path(node.func, aliases)
@@ -101,7 +101,7 @@ class SloSamplingChecker(Checker):
 
     def _check_slo_calls(self, module: SourceModule) -> Iterable[Finding]:
         aliases = module.aliases
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if not isinstance(node, ast.Call):
                 continue
             path = resolve_call_path(node.func, aliases)

@@ -124,18 +124,17 @@ class WorkflowChecker(Checker):
     def _check_sealed_mutations(
         self, module: SourceModule
     ) -> Iterable[Finding]:
-        for scope in ast.walk(module.tree):
-            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            sealed = self._sealed_names(scope)
+        for scope in module.index.functions:
+            nodes = module.index.walk(scope)
+            sealed = self._sealed_names(nodes)
             if sealed:
-                yield from self._mutations(module, scope, sealed)
+                yield from self._mutations(module, nodes, sealed)
 
     @staticmethod
-    def _sealed_names(scope: ast.AST) -> set[str]:
-        """Names in *scope* bound from a record-accessor call."""
+    def _sealed_names(nodes: list[ast.AST]) -> set[str]:
+        """Names in a function's *nodes* bound from a record-accessor call."""
         sealed: set[str] = set()
-        for node in ast.walk(scope):
+        for node in nodes:
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
             target = node.targets[0]
@@ -150,9 +149,9 @@ class WorkflowChecker(Checker):
         return sealed
 
     def _mutations(
-        self, module: SourceModule, scope: ast.AST, sealed: set[str]
+        self, module: SourceModule, nodes: list[ast.AST], sealed: set[str]
     ) -> Iterable[Finding]:
-        for node in ast.walk(scope):
+        for node in nodes:
             target = None
             how = ""
             if isinstance(node, (ast.Assign, ast.AugAssign)):

@@ -17,7 +17,12 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.analysis.astutil import Exposure, find_exposures, import_aliases
+from repro.analysis.astutil import (
+    AstIndex,
+    Exposure,
+    find_exposures,
+    import_aliases,
+)
 from repro.analysis.graph import ProjectGraph
 from repro.analysis.graph.modgraph import module_import_origins
 
@@ -154,21 +159,29 @@ class SourceModule:
     # -- per-run AST facts: computed on first use, dropped with the module ----
 
     @cached_property
+    def index(self) -> AstIndex:
+        """The parsed tree in preorder, with a slice per class and function:
+        every module-, class- and function-level walk reads it."""
+        if self.tree is None:
+            raise ValueError(f"{self.rel} failed to parse: no AST to index")
+        return AstIndex(self.tree)
+
+    @cached_property
     def aliases(self) -> dict[str, str]:
         """Local name -> dotted import origin (absolute imports only)."""
-        return import_aliases(self.tree) if self.tree is not None else {}
+        return import_aliases(self.index) if self.tree is not None else {}
 
     @cached_property
     def import_origins(self) -> dict[str, str]:
         """Local name -> dotted import origin, relative imports resolved."""
         if self.tree is None:
             return {}
-        return module_import_origins(self.tree, self.module_name)
+        return module_import_origins(self.index, self.module_name)
 
     @cached_property
     def exposures(self) -> list[Exposure]:
         """The module's SOAP exposures, one per receiver class."""
-        return find_exposures(self.tree) if self.tree is not None else []
+        return find_exposures(self.index) if self.tree is not None else []
 
     def finding(
         self,
@@ -234,9 +247,8 @@ class Project:
         if self._class_index is None:
             index: dict[str, tuple[SourceModule, ast.ClassDef]] = {}
             for module in self.parsed():
-                for node in ast.walk(module.tree):
-                    if isinstance(node, ast.ClassDef):
-                        index.setdefault(node.name, (module, node))
+                for node in module.index.classes:
+                    index.setdefault(node.name, (module, node))
             self._class_index = index
         return self._class_index
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis.astutil import AstIndex
 from repro.analysis.graph.symbols import Symbol, SymbolTable, _dotted
 
 
@@ -65,6 +66,8 @@ class CallGraph:
     #: node id -> its FunctionDef (kept off the frozen node for hashing)
     funcs: dict[str, ast.FunctionDef] = field(default_factory=dict)
     edges_from: dict[str, list[CallEdge]] = field(default_factory=dict)
+    #: module -> its AST index, which serves every walk of a node's body
+    indexes: dict[str, AstIndex] = field(default_factory=dict)
     _attr_cache: dict[tuple[str, str], dict[str, Symbol]] = field(
         default_factory=dict
     )
@@ -78,6 +81,7 @@ class CallGraph:
             mod = module.module_name
             if not mod or symbols.graph.modules.get(mod) != module.rel:
                 continue
+            graph.indexes[mod] = module.index
             for stmt in module.tree.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     graph._add_node(mod, "", stmt, module.rel)
@@ -95,6 +99,11 @@ class CallGraph:
             self.nodes[node.id] = node
             self.funcs[node.id] = func
 
+    def walk(self, node_id: str) -> list[ast.AST]:
+        """Every node of *node_id*'s function, in preorder (nested
+        definitions included, as ``ast.walk`` would yield them)."""
+        return self.indexes[self.nodes[node_id].module].walk(self.funcs[node_id])
+
     # -- receiver typing -------------------------------------------------------
 
     def _attr_classes(self, module: str, cls: str) -> dict[str, Symbol]:
@@ -109,7 +118,7 @@ class CallGraph:
             self._attr_cache[(module, cls)] = {}
             return {}
         out: dict[str, Symbol] = {}
-        for sub in ast.walk(node):
+        for sub in self.indexes[module].walk(node):
             target = value = None
             if isinstance(sub, ast.Assign) and len(sub.targets) >= 1:
                 target, value = sub.targets[0], sub.value
@@ -141,7 +150,7 @@ class CallGraph:
                 symbol = self._class_of_annotation(module, arg.annotation)
                 if symbol is not None:
                     out.setdefault(arg.arg, symbol)
-        for sub in ast.walk(func):
+        for sub in self.indexes[module].walk(func):
             if isinstance(sub, ast.Assign):
                 symbol = self._class_of_value(module, sub.value)
                 if symbol is None:

@@ -15,8 +15,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis.astutil import AstIndex
 
-def module_import_origins(tree: ast.Module, module_name: str) -> dict[str, str]:
+
+def module_import_origins(index: AstIndex, module_name: str) -> dict[str, str]:
     """Local name -> dotted origin, relative imports resolved.
 
     Like :func:`repro.analysis.astutil.import_aliases` but aware of the
@@ -28,7 +30,7 @@ def module_import_origins(tree: ast.Module, module_name: str) -> dict[str, str]:
     """
     package = module_name.rsplit(".", 1)[0] if "." in module_name else ""
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in index.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -78,7 +80,7 @@ class ModuleGraph:
                     edges[name].add(target)
             # plain ``import a.b.c`` binds only ``a`` locally, but the
             # dependency is on ``a.b.c`` — record the full edge too
-            for node in ast.walk(module.tree):
+            for node in module.index.nodes:
                 if not isinstance(node, ast.Import):
                     continue
                 for alias in node.names:

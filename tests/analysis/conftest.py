@@ -19,6 +19,14 @@ def modules_from(sources: dict[str, str]) -> list[SourceModule]:
     ]
 
 
+def write_tree(root: Path, files: dict[str, str]) -> None:
+    """Write {relative-path: code} under *root* (code is dedented)."""
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+
+
 @pytest.fixture
 def analyze():
     """analyze({"mod.py": code, ...}, checkers=[...]) -> AnalysisResult."""

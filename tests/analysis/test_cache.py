@@ -25,6 +25,8 @@ from repro.analysis.reporting import (
 )
 from repro.analysis.runner import analyze_paths_cached, analyze_sources, load_modules
 
+from tests.analysis.conftest import write_tree
+
 CLEAN_PKG = {
     "pkg/__init__.py": "",
     "pkg/helper.py": "def h():\n    return 1\n",
@@ -36,13 +38,6 @@ DIRTY_PKG = {
     "pkg/clock.py": "import time\n\n\ndef now():\n    return time.time()\n",
     "pkg/pure.py": "def double(x):\n    return 2 * x\n",
 }
-
-
-def write_tree(root: Path, files: dict) -> None:
-    for rel, text in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
 
 
 def run(root: Path, **kwargs):
@@ -128,11 +123,12 @@ def test_warm_hit_parses_nothing(tmp_path, monkeypatch):
 def test_runs_share_no_memoized_facts(tmp_path):
     """Facts live on each run's modules and graph: a second analysis in
     the same process after an edit sees the edit, and the first run's
-    trees are freed once its modules are dropped."""
+    trees and AST indexes are freed once its modules are dropped."""
     write_tree(tmp_path, CLEAN_PKG)
     before = load_modules([tmp_path / "pkg"], root=tmp_path)
     assert analyze_sources(before).findings == []
     tree = weakref.ref(before[1].tree)
+    index = weakref.ref(before[1].index)
     aliases = before[1].aliases
     (tmp_path / "pkg/helper.py").write_text(
         "import time\n\n\ndef h():\n    return time.time()\n", encoding="utf-8"
@@ -143,6 +139,7 @@ def test_runs_share_no_memoized_facts(tmp_path):
     del before
     gc.collect()
     assert tree() is None
+    assert index() is None
 
 
 def test_no_cache_reads_and_writes_nothing(tmp_path):

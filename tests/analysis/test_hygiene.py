@@ -1,8 +1,9 @@
 """ResourceHygieneChecker: REP501-REP502."""
 
 from repro.analysis.checkers.hygiene import ResourceHygieneChecker
+from repro.analysis.runner import analyze_sources, load_modules
 
-from tests.analysis.conftest import codes
+from tests.analysis.conftest import codes, write_tree
 
 CHECKER = [ResourceHygieneChecker()]
 
@@ -145,3 +146,36 @@ def test_dropped_journal_is_rep502_but_assigned_is_clean(analyze):
     }, checkers=CHECKER)
     assert codes(result) == ["REP502"]
     assert result.findings[0].line == 2
+
+
+def test_async_def_bodies_are_checked(tmp_path):
+    """Handles leaked or dropped inside ``async def`` are reported like
+    their synchronous twins."""
+    write_tree(tmp_path, {
+        "pkg/mod.py": """\
+            async def handler(obs, work):
+                span = obs.tracer.start("op")
+                result = await work()
+                obs.tracer.end(span)
+                return result
+
+
+            async def fire_and_forget(obs):
+                obs.tracer.start("op")
+
+
+            async def careful(obs, work):
+                span = obs.tracer.start("op")
+                try:
+                    return await work()
+                finally:
+                    obs.tracer.end(span)
+        """
+    })
+    result = analyze_sources(
+        load_modules([tmp_path / "pkg"], root=tmp_path), checkers=CHECKER
+    )
+    assert [(f.code, f.line, f.symbol) for f in result.findings] == [
+        ("REP501", 2, "handler"),
+        ("REP502", 9, "fire_and_forget"),
+    ]
